@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: check vet build test race race-hot bench-smoke bench bench-all bench-crl bench-crl-check bench-fleet bench-fleet-check bench-revdb bench-revdb-check bench-world bench-world-check bench-cascade bench-cascade-check bench-scenario bench-scenario-check chaos fuzz-short
+.PHONY: check vet build test race race-hot bench-smoke bench bench-all bench-crl bench-crl-check bench-fleet bench-fleet-check bench-revdb bench-revdb-check bench-world bench-world-check bench-cascade bench-cascade-check bench-scenario bench-scenario-check bench-selfcheck chaos fuzz-short
 
 # check is the full pre-merge gate: static checks, race-enabled tests on
 # the concurrency-hot packages and then the whole tree (including the
 # cascade differential battery in internal/workload), the chaos
 # differential harness on its fixed seeds, a short fuzz pass over the
 # DER-facing parsers, and a one-iteration smoke of the end-to-end
-# world-build benchmark.
-check: vet build race-hot race chaos fuzz-short bench-smoke bench-crl-check bench-fleet-check bench-revdb-check bench-world-check bench-cascade-check bench-scenario-check
+# world-build benchmark, the bench gates, and the benchmark module's own
+# self-checks.
+check: vet build race-hot race chaos fuzz-short bench-smoke bench-crl-check bench-fleet-check bench-revdb-check bench-world-check bench-cascade-check bench-scenario-check bench-selfcheck
 
 vet:
 	$(GO) vet ./...
@@ -142,3 +143,11 @@ bench-scenario-check:
 # digests) breaks or allocs regress against BENCH_pr9.json.
 bench-cascade-check:
 	$(GO) run ./cmd/benchcascade -check BENCH_pr9.json -quick
+
+# bench-selfcheck runs the repository benchmark's self-checks (every
+# workload at a tiny size: seed-derived facts repeat, oracles hold, the
+# result line has the contract's metrics). perfbench/ is a module of its
+# own outside `go test ./...`, so this is what catches a change to the
+# fleet or scenario APIs it imports.
+bench-selfcheck:
+	GOPROXY=off GOTOOLCHAIN=local $(GO) -C perfbench test .

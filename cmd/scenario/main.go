@@ -158,6 +158,8 @@ func buildReport(preset string, cfg scenario.HeartbleedConfig, stdout io.Writer)
 		return nil, err
 	}
 	fmt.Fprintf(stdout, "completed in %v, scenario digest %s\n", time.Since(start).Round(time.Millisecond), res.Digest)
+	fmt.Fprintf(stdout, "  %-16s %v (world build + CDN wiring)\n", "set-up",
+		time.Duration(res.SetupMS*float64(time.Millisecond)).Round(time.Millisecond))
 	for _, p := range res.Report.Phases {
 		fmt.Fprintf(stdout, "  %-16s %9d ops  wall p50 %-10v p99 %-10v p999 %-10v net %d reqs (virtual p99 %v)\n",
 			p.Name, p.Ops, time.Duration(p.Wall.P50Ns), time.Duration(p.Wall.P99Ns),

@@ -331,6 +331,13 @@ func (c *Cache) DoCRL(url string, now time.Time, fetch func() (*crl.CRL, error))
 	if parsed, ok := c.CRL(url, now); ok {
 		return parsed, SourceCached, nil
 	}
+	return c.flightCRL(url, now, fetch)
+}
+
+// flightCRL is DoCRL after its counted read miss: join or start the
+// URL's flight. Client calls it directly so a warm hit never builds a
+// fetch closure.
+func (c *Cache) flightCRL(url string, now time.Time, fetch func() (*crl.CRL, error)) (*crl.CRL, CRLSource, error) {
 	sh := c.shardForString(url)
 	sh.mu.Lock()
 	// Re-check under the write lock: a flight may have completed between

@@ -588,29 +588,25 @@ func (c *Client) fetchCRL(v *Verdict, cert, issuer *x509x.Certificate, pos Posit
 // cache the client carries: the sharded Cache deduplicates concurrent
 // downloads per URL (singleflight), other stores follow the seed
 // lookup/download/store sequence, and no cache means a plain download.
+//
+// Fetch closures are built only on a miss: a closure handed to DoCRL
+// escapes to the heap, and the warm verdict path must not allocate.
 func (c *Client) obtainCRL(url string, issuer *x509x.Certificate, now time.Time) (*crl.CRL, CRLSource, error) {
-	fetch := func() (*crl.CRL, error) {
-		parsed, err := c.downloadCRL(url)
-		if err != nil {
-			return nil, errCRLUnavailable
+	if store, ok := c.Cache.(*Cache); ok && store != nil && len(store.shards) > 0 {
+		if parsed, ok := store.CRL(url, now); ok {
+			return parsed, SourceCached, nil
 		}
-		if err := parsed.VerifySignature(issuer); err != nil {
-			return nil, errCRLBadSignature
-		}
-		if !parsed.CurrentAt(now) {
-			return nil, errCRLStale
-		}
-		return parsed, nil
+		return store.flightCRL(url, now, func() (*crl.CRL, error) { return c.verifiedCRL(url, issuer, now) })
 	}
 	if sf, ok := c.Cache.(crlSingleflighter); ok {
-		return sf.DoCRL(url, now, fetch)
+		return sf.DoCRL(url, now, func() (*crl.CRL, error) { return c.verifiedCRL(url, issuer, now) })
 	}
 	if c.Cache != nil {
 		if parsed, ok := c.Cache.CRL(url, now); ok {
 			return parsed, SourceCached, nil
 		}
 	}
-	parsed, err := fetch()
+	parsed, err := c.verifiedCRL(url, issuer, now)
 	if err != nil {
 		return nil, SourceFetched, err
 	}
@@ -618,6 +614,22 @@ func (c *Client) obtainCRL(url string, issuer *x509x.Certificate, now time.Time)
 		c.Cache.PutCRL(url, parsed)
 	}
 	return parsed, SourceFetched, nil
+}
+
+// verifiedCRL downloads url and accepts it only if issuer signed it and
+// it is current at now.
+func (c *Client) verifiedCRL(url string, issuer *x509x.Certificate, now time.Time) (*crl.CRL, error) {
+	parsed, err := c.downloadCRL(url)
+	if err != nil {
+		return nil, errCRLUnavailable
+	}
+	if err := parsed.VerifySignature(issuer); err != nil {
+		return nil, errCRLBadSignature
+	}
+	if !parsed.CurrentAt(now) {
+		return nil, errCRLStale
+	}
+	return parsed, nil
 }
 
 func (c *Client) downloadCRL(url string) (*crl.CRL, error) {

@@ -9,9 +9,7 @@
 package fleet
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"net/http"
 	"runtime"
@@ -98,9 +96,10 @@ func (c *Config) fillDefaults() {
 
 // World is a frozen PKI plus a browsing plan: a CA serving CRL shards and
 // OCSP over simnet, a leaf population with some revocations, the derived
-// CRLSet/Bloom artifacts, and per-browser evaluation sequences. A World
-// is immutable after New, so any number of runs (with different stores,
-// worker counts, or fast paths) observe identical inputs.
+// CRLSet/Bloom artifacts, and the Zipf table every browser's evaluation
+// sequence is drawn from. A World is immutable after New, so any number
+// of runs (with different stores, worker counts, or fast paths) observe
+// identical inputs.
 type World struct {
 	Cfg   Config
 	Clock *simtime.Clock
@@ -128,7 +127,7 @@ type World struct {
 	Shards *cascade.ShardSet
 
 	crlOnlyChain int       // index of a CRL-only leaf, for the stampede
-	plans        [][]int32 // per-browser chain-index sequences
+	zipf         zipfTable // chain popularity; plans derive from it per draw
 }
 
 // New builds a world. The virtual clock starts at the paper's measurement
@@ -235,19 +234,10 @@ func New(cfg Config) (*World, error) {
 		return nil, err
 	}
 
-	// Per-browser plans: browser b's sequence depends only on (Seed, b),
-	// never on scheduling, which is what makes fleet aggregates
-	// worker-count independent.
-	w.plans = make([][]int32, cfg.Browsers)
-	for b := 0; b < cfg.Browsers; b++ {
-		r := rand.New(rand.NewSource(cfg.Seed + 1 + int64(b)))
-		z := rand.NewZipf(r, cfg.ZipfS, 1, uint64(cfg.Certs-1))
-		seq := make([]int32, cfg.EvalsPerBrowser)
-		for e := range seq {
-			seq[e] = int32(z.Uint64())
-		}
-		w.plans[b] = seq
-	}
+	// Browser b's sequence depends only on (Seed, b), never on
+	// scheduling, which is what makes fleet aggregates worker-count
+	// independent. Run derives it draw by draw (plan.go).
+	w.zipf = newZipfTable(cfg.Certs, cfg.ZipfS)
 	return w, nil
 }
 
@@ -306,9 +296,9 @@ type Result struct {
 	Rejects             int
 	RevocationsDetected int
 
-	// Digest is an order-independent-of-scheduling fingerprint of the
-	// per-browser outcome aggregates: identical across worker counts for
-	// a fixed world.
+	// Digest fingerprints every browser's outcome tally (a sum of
+	// per-browser hashes, so scheduling cannot reorder it): identical
+	// across worker counts for a fixed world.
 	Digest uint64
 
 	// Elapsed is this run's (phase's) wall time: measured from worker
@@ -335,14 +325,45 @@ type Result struct {
 	ModelledTime time.Duration
 }
 
-// browserAgg is one browser's outcome tally, written only by the worker
-// that owns the browser.
-type browserAgg struct {
-	accepts  uint32
-	warns    uint32
-	rejects  uint32
-	detected uint32
+// tally counts verdict outcomes: one browser's, or a worker's running
+// sum over its browsers.
+type tally struct {
+	accepts  int
+	warns    int
+	rejects  int
+	detected int
 	fast     browser.FastPathStats
+}
+
+func (t *tally) add(o tally) {
+	t.accepts += o.accepts
+	t.warns += o.warns
+	t.rejects += o.rejects
+	t.detected += o.detected
+	t.fast.Add(o.fast)
+}
+
+// digest fingerprints browser b's tally. Run sums these over browsers
+// (mod 2^64), so the fleet digest needs no per-browser storage and is
+// the same in any order the browsers are visited.
+func (t *tally) digest(b int) uint64 {
+	h := mix64(uint64(b) + golden)
+	for _, v := range [...]int{
+		t.accepts, t.warns, t.rejects, t.detected,
+		t.fast.CascadeHits, t.fast.CascadeMisses, t.fast.CascadeStale,
+		t.fast.CRLSetHits, t.fast.CRLSetMisses,
+		t.fast.BloomNegatives, t.fast.BloomPositives, t.fast.BlockedSPKI,
+	} {
+		h = mix64(h ^ uint64(v))
+	}
+	return h
+}
+
+// workerResult is what one Run worker hands back.
+type workerResult struct {
+	sum    tally
+	digest uint64
+	err    error
 }
 
 func subStats(after, before browser.CacheStats) browser.CacheStats {
@@ -392,7 +413,6 @@ func (w *World) Run(opt RunOptions) (Result, error) {
 		client.CascadeShards = w.Shards
 	}
 
-	aggs := make([]browserAgg, w.Cfg.Browsers)
 	netBefore := w.Net.TotalStats()
 	var cacheBefore browser.CacheStats
 	shardedStore, _ := opt.Store.(*browser.Cache)
@@ -411,7 +431,7 @@ func (w *World) Run(opt RunOptions) (Result, error) {
 	start := time.Now()
 
 	var wg sync.WaitGroup
-	errs := make([]error, workers)
+	results := make([]workerResult, workers)
 	for wk := 0; wk < workers; wk++ {
 		wg.Add(1)
 		go func(wk int) {
@@ -421,15 +441,19 @@ func (w *World) Run(opt RunOptions) (Result, error) {
 				rec = opt.Latency.Shard(wk)
 			}
 			var v browser.Verdict
+			var out workerResult
+			defer func() { results[wk] = out }()
 			for b := wk; b < w.Cfg.Browsers; b += workers {
-				agg := &aggs[b]
-				for _, ci := range w.plans[b] {
+				var t tally
+				key := planKey(w.Cfg.Seed, b)
+				for e := 0; e < w.Cfg.EvalsPerBrowser; e++ {
+					ci := w.zipf.draw(planDraw(key, e))
 					var t0 time.Time
 					if rec != nil {
 						t0 = time.Now()
 					}
 					if err := client.EvaluateInto(&v, w.Chains[ci], nil); err != nil {
-						errs[wk] = err
+						out.err = err
 						return
 					}
 					if rec != nil {
@@ -437,17 +461,19 @@ func (w *World) Run(opt RunOptions) (Result, error) {
 					}
 					switch v.Outcome {
 					case browser.OutcomeAccept:
-						agg.accepts++
+						t.accepts++
 					case browser.OutcomeWarn:
-						agg.warns++
+						t.warns++
 					case browser.OutcomeReject:
-						agg.rejects++
+						t.rejects++
 					}
 					if v.RevocationDetected {
-						agg.detected++
+						t.detected++
 					}
-					agg.fast.Add(v.FastPath)
+					t.fast.Add(v.FastPath)
 				}
+				out.sum.add(t)
+				out.digest += t.digest(b)
 			}
 		}(wk)
 	}
@@ -455,40 +481,20 @@ func (w *World) Run(opt RunOptions) (Result, error) {
 
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&msAfter)
-	for _, err := range errs {
-		if err != nil {
-			return Result{}, err
-		}
-	}
-
+	var sum tally
 	res := Result{Workers: workers, Elapsed: elapsed}
-	h := fnv.New64a()
-	var word [4]byte
-	hashField := func(v uint32) {
-		binary.LittleEndian.PutUint32(word[:], v)
-		h.Write(word[:])
+	for _, r := range results {
+		if r.err != nil {
+			return Result{}, r.err
+		}
+		sum.add(r.sum)
+		res.Digest += r.digest
 	}
-	for i := range aggs {
-		agg := &aggs[i]
-		res.Accepts += int(agg.accepts)
-		res.Warns += int(agg.warns)
-		res.Rejects += int(agg.rejects)
-		res.RevocationsDetected += int(agg.detected)
-		res.FastPath.Add(agg.fast)
-		hashField(agg.accepts)
-		hashField(agg.warns)
-		hashField(agg.rejects)
-		hashField(agg.detected)
-		hashField(uint32(agg.fast.CascadeHits))
-		hashField(uint32(agg.fast.CascadeMisses))
-		hashField(uint32(agg.fast.CascadeStale))
-		hashField(uint32(agg.fast.CRLSetHits))
-		hashField(uint32(agg.fast.CRLSetMisses))
-		hashField(uint32(agg.fast.BloomNegatives))
-		hashField(uint32(agg.fast.BloomPositives))
-		hashField(uint32(agg.fast.BlockedSPKI))
-	}
-	res.Digest = h.Sum64()
+	res.Accepts = sum.accepts
+	res.Warns = sum.warns
+	res.Rejects = sum.rejects
+	res.RevocationsDetected = sum.detected
+	res.FastPath = sum.fast
 	res.Verdicts = res.Accepts + res.Warns + res.Rejects
 	if elapsed > 0 {
 		res.VerdictsPerSec = float64(res.Verdicts) / elapsed.Seconds()
@@ -527,6 +533,9 @@ type StampedeResult struct {
 	// download, joiners pay the singleflight wait, and the tail shows
 	// what the collapse actually cost each client.
 	Latency hist.Summary
+	// Hist is the full per-client histogram behind Latency, for callers
+	// that merge it into a larger distribution.
+	Hist *hist.Snapshot
 }
 
 // Stampede points clients concurrent browsers at one CRL-only chain
@@ -572,13 +581,15 @@ func (w *World) Stampede(clients int) (StampedeResult, error) {
 		}
 	}
 	st := cache.Stats()
+	snap := lat.Snapshot()
 	return StampedeResult{
 		Clients:     clients,
 		Fetches:     st.CRLFetches,
 		Joins:       st.DedupeJoins,
 		Hits:        st.CRLHits,
 		NetRequests: int64(w.Net.TotalStats().Requests - netBefore),
-		Latency:     lat.Snapshot().Summary(),
+		Latency:     snap.Summary(),
+		Hist:        snap,
 	}, nil
 }
 

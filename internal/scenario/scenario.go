@@ -13,9 +13,9 @@
 // so every PhaseResult carries exactly the traffic and time that phase
 // caused. Phases record two kinds of latency:
 //
-//   - Wall latency (Phase.Record / Phase.Sharded): real time.Now
-//     durations around operations. Non-deterministic; reported and
-//     SLO-gated, never part of determinism digests.
+//   - Wall latency (Phase.Record / Phase.Sharded / Phase.MergeWall):
+//     real time.Now durations around operations. Non-deterministic;
+//     reported and SLO-gated, never part of determinism digests.
 //   - Virtual service time (the Net histogram): CostModel-derived
 //     durations simnet charges each request. A pure function of the byte
 //     stream, so phases whose request multiset is scheduling-independent
@@ -92,6 +92,7 @@ type Phase struct {
 	name   string
 	serial hist.Recorder
 	shards []*hist.Sharded
+	merged hist.Snapshot
 	ops    int64
 
 	digest    uint64
@@ -112,6 +113,10 @@ func (p *Phase) Sharded(n int) *hist.Sharded {
 	p.shards = append(p.shards, sh)
 	return sh
 }
+
+// MergeWall folds an already-recorded wall-latency histogram into the
+// phase — for operations timed by a callee that owns its own recorders.
+func (p *Phase) MergeWall(s *hist.Snapshot) { p.merged.Add(s) }
 
 // AddOps adds to the phase's operation count (verdicts, requests,
 // revocations — whatever the phase's unit of work is).
@@ -147,7 +152,8 @@ type PhaseResult struct {
 	// Digest fingerprints the phase's deterministic outcome (empty when
 	// the phase mixed nothing in).
 	Digest string `json:"digest,omitempty"`
-	// Wall summarizes per-operation wall latency (Record/Sharded).
+	// Wall summarizes per-operation wall latency (Record/Sharded/
+	// MergeWall).
 	Wall hist.Summary `json:"wall"`
 	// Net summarizes per-request service time attributed to this phase:
 	// CostModel virtual time under simnet, real wall time over TCP.
@@ -222,7 +228,7 @@ func (e *Engine) Phase(name string, fn func(p *Phase) error) (*PhaseResult, erro
 		res.VirtualMS = float64(res.virtualNS) / float64(time.Millisecond)
 	}
 
-	wall := p.serial.Snapshot()
+	wall := p.serial.Snapshot().Add(&p.merged)
 	for _, sh := range p.shards {
 		wall.Add(sh.Snapshot())
 	}

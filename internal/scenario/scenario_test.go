@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/hist"
 	"repro/internal/simnet"
 	"repro/internal/simtime"
 )
@@ -248,6 +249,51 @@ func TestHeartbleedShape(t *testing.T) {
 	cold := res.Report.Phase("baseline-cold")
 	if cold.NetRequests == 0 || cold.Net.Count == 0 {
 		t.Error("cold fleet traffic not attributed to its phase")
+	}
+}
+
+// TestHeartbleedPhasesTimeEveryOp: every phase that did work carries
+// one wall-latency sample per operation, so no phase reports an empty
+// or partial histogram as if it were a measurement — the stampede's
+// per-client latencies included.
+func TestHeartbleedPhasesTimeEveryOp(t *testing.T) {
+	res, err := Heartbleed(quickHeartbleed(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range res.Report.Phases {
+		if p.Ops > 0 && int64(p.WallHist.Count) != p.Ops {
+			t.Errorf("phase %s: %d wall samples for %d ops", p.Name, p.WallHist.Count, p.Ops)
+		}
+	}
+	if st := res.Report.Phase("stampede"); st == nil || st.Ops == 0 || st.Wall.P99Ns <= 0 {
+		t.Errorf("stampede phase has no latency distribution: %+v", st)
+	}
+	if res.SetupMS <= 0 {
+		t.Errorf("set-up time not reported: %v ms", res.SetupMS)
+	}
+}
+
+func TestPhaseMergeWall(t *testing.T) {
+	eng, _, _ := testEngine()
+	var rec hist.Recorder
+	for i := 1; i <= 5; i++ {
+		rec.Record(time.Duration(i) * time.Millisecond)
+	}
+	res, err := eng.Phase("merged", func(p *Phase) error {
+		p.Record(time.Millisecond)
+		p.MergeWall(rec.Snapshot())
+		p.MergeWall(rec.Snapshot())
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Wall.Count != 11 {
+		t.Errorf("wall count = %d, want 11 (1 recorded + 2x5 merged)", res.Wall.Count)
+	}
+	if res.Wall.MaxNs != int64(5*time.Millisecond) {
+		t.Errorf("wall max = %v, want 5ms", time.Duration(res.Wall.MaxNs))
 	}
 }
 
