@@ -36,11 +36,15 @@ race-hot:
 chaos:
 	$(GO) run ./cmd/chaos -seeds 20150501,3,77,424242
 
-# fuzz-short gives each DER-facing fuzz target a 10s budget — enough to
-# exercise the corpus plus some fresh mutations on every merge.
+# fuzz-short gives each of the seven fuzz targets (the DER, CRL, OCSP,
+# certificate and CRLSet parsers, the cascade and ribbon decoders) a 10s
+# budget — enough to exercise the corpus plus some fresh mutations on
+# every merge.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/der
 	$(GO) test -run='^$$' -fuzz=FuzzParseCRL -fuzztime=10s ./internal/crl
+	$(GO) test -run='^$$' -fuzz=FuzzParseResponse -fuzztime=10s ./internal/ocsp
+	$(GO) test -run='^$$' -fuzz=FuzzParseCertificate -fuzztime=10s ./internal/x509x
 	$(GO) test -run='^$$' -fuzz=FuzzParseCRLSet -fuzztime=10s ./internal/crlset
 	$(GO) test -run='^$$' -fuzz=FuzzCascadeDecode -fuzztime=10s ./internal/cascade
 	$(GO) test -run='^$$' -fuzz=FuzzRibbonDecode -fuzztime=10s ./internal/ribbon
@@ -112,10 +116,9 @@ bench-world-check:
 	$(GO) run ./cmd/benchworld -check BENCH_pr7.json -quick
 
 # bench-cascade regenerates BENCH_pr9.json: the filter-cascade record
-# (snapshot + daily-delta bytes/day/client vs CRLSet vs raw CRLs for both
-# the Bloom and ribbon level families, the per-issuer sharded ribbon
-# chain, the zero-FP/zero-FN exactness audits, and the fully-offline
-# fleet phases for all three installed representations).
+# (snapshot + daily-delta bytes/day/client vs CRLSet vs raw CRLs, the
+# per-issuer sharded chain, the zero-FP/zero-FN exactness audits, and the
+# fully-offline fleet phases for the monolithic and sharded installs).
 bench-cascade:
 	$(GO) run ./cmd/benchcascade -o BENCH_pr9.json
 
@@ -138,9 +141,10 @@ bench-scenario-check:
 # bench-cascade-check is the regression gate in `make check`: it re-runs
 # the publisher and offline-fleet phases on a small world and fails if
 # any gate (bandwidth ratios, exact coverage, offline allocs/verdict,
-# zero network, ribbon snapshot <=0.70x Bloom, sharded ribbon below the
-# CRLSet budget, ribbon probes within 2x Bloom ns/verdict, equal fleet
-# digests) breaks or allocs regress against BENCH_pr9.json.
+# zero network, final snapshot and ns/verdict under their absolute
+# ceilings, sharded chain below the CRLSet budget, equal fleet digests
+# matching the pinned one) breaks or allocs regress against
+# BENCH_pr9.json.
 bench-cascade-check:
 	$(GO) run ./cmd/benchcascade -check BENCH_pr9.json -quick
 

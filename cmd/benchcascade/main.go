@@ -2,27 +2,22 @@
 // filter-cascade subsystem: the publisher's bandwidth cost measured on a
 // simulated world (day-zero snapshot plus daily binary deltas, against
 // what a CRLSet subscriber and a raw-CRL downloader pay over the same
-// study), the exactness audit of the final artifact, and the client-side
-// cost of fully-offline cascade verdicts at fleet scale. With the default
-// -levelkind auto it publishes both level families — classic Bloom levels
-// and succinct ribbon levels — plus the per-issuer sharded ribbon chain a
-// web-trust client would install, and gates the succinct family against
-// the Bloom baseline; -levelkind bloom|ribbon restricts the harness to
-// one family for side-by-side experiments (no record, no cross gates).
+// study), the per-issuer sharded chain a web-trust client installs, the
+// exactness audits of both, and the client-side cost of fully-offline
+// cascade verdicts at fleet scale.
 //
 //	benchcascade                          # run, print the report
-//	benchcascade -levelkind ribbon        # ribbon-only side-by-side run
 //	benchcascade -o BENCH_pr9.json        # run full-size, write the record
 //	benchcascade -check BENCH_pr9.json -quick   # CI gate (make check)
 //
 // Gates: cascade bytes/day/client strictly below raw CRLs and within 2x
 // of the CRLSet while covering 100% of listed revocations with zero false
-// positives and zero false negatives; the offline fleet path must stay at
-// or under 0.20 allocs/verdict and touch the network zero times. The
-// succinct family adds: ribbon final snapshot at most 0.70x of the Bloom
-// one, sharded ribbon bytes/day/client below the CRLSet's own budget,
-// ribbon probes within 2x of Bloom ns/verdict at the same alloc ceiling,
-// and identical fleet digests across all three representations.
+// positives and zero false negatives; sharded bytes/day/client below the
+// CRLSet's own budget, also exact; the offline fleet path at or under
+// 0.20 allocs/verdict with zero network; the final snapshot and the
+// offline ns/verdict under absolute ceilings; and identical fleet digests
+// for the monolithic and sharded installs, equal to the recorded digest.
+// The ceilings are calibrated for the default and -quick configurations.
 package main
 
 import (
@@ -50,12 +45,14 @@ type Config struct {
 	EvalsPerBrowser int     `json:"evals_per_browser"`
 	Workers         int     `json:"workers"`
 	FleetSeed       int64   `json:"fleet_seed"`
-	LevelKind       string  `json:"level_kind"`
+	Quick           bool    `json:"quick"`
 }
 
 // Bandwidth is the publisher-side phase: the artifact chain's cost per
-// client per day against the two mechanisms the paper evaluates, plus the
-// exactness audit of the final snapshot.
+// client per day against the two mechanisms the paper evaluates, the
+// sharded chain priced for a client that trusts (and downloads) only the
+// web CAs' shards plus the daily signed manifest, and the exactness
+// audits of both final artifacts.
 type Bandwidth struct {
 	Epochs             int     `json:"epochs"`
 	Revocations        int     `json:"revocations"`
@@ -73,46 +70,31 @@ type Bandwidth struct {
 	FalsePositives    int `json:"false_positives"`
 	FalseNegatives    int `json:"false_negatives"`
 
-	// The succinct family, measured only under -levelkind auto: the same
-	// feed published with ribbon levels, and the per-issuer sharded ribbon
-	// chain priced for a client that trusts (and downloads) only the web
-	// CAs' shards plus the daily signed manifest.
-	RibbonFinalSnapshotBytes int     `json:"ribbon_final_snapshot_bytes"`
-	RibbonDeltaChainBytes    int     `json:"ribbon_delta_chain_bytes"`
-	RibbonBytesPerDay        float64 `json:"ribbon_bytes_per_day"`
-	RibbonCoverageExact      bool    `json:"ribbon_coverage_exact"`
-	Shards                   int     `json:"shards"`
-	TrustedShards            int     `json:"trusted_shards"`
-	ShardedRibbonBytesPerDay float64 `json:"sharded_ribbon_bytes_per_day"`
-	ShardCoverageExact       bool    `json:"shard_coverage_exact"`
+	Shards             int     `json:"shards"`
+	TrustedShards      int     `json:"trusted_shards"`
+	ShardedBytesPerDay float64 `json:"sharded_bytes_per_day"`
+	ShardCoverageExact bool    `json:"shard_coverage_exact"`
 }
 
 // Offline is the client-side phase: a fleet run with the cascade
-// installed as the authoritative local artifact.
+// installed as the authoritative local artifact, then the same schedule
+// with the sharded install.
 type Offline struct {
-	Workers          int     `json:"workers"`
-	Verdicts         int     `json:"verdicts"`
-	VerdictsPerSec   float64 `json:"verdicts_per_sec"`
-	NsPerVerdict     float64 `json:"ns_per_verdict"`
-	AllocsPerVerdict float64 `json:"allocs_per_verdict"`
-	BytesPerVerdict  float64 `json:"bytes_per_verdict"`
-	Rejects          int     `json:"rejects"`
-	Revocations      int     `json:"revocations_detected"`
-	CascadeHits      int     `json:"cascade_hits"`
-	CascadeMisses    int     `json:"cascade_misses"`
-	CascadeStale     int     `json:"cascade_stale"`
-	NetRequests      int64   `json:"net_requests"`
-	Digest           string  `json:"digest"`
-
-	// Ribbon and sharded fleet passes (measured only under -levelkind
-	// auto): same world, same evaluation schedule, different installed
-	// representation — the digests must agree with the Bloom pass.
-	RibbonNsPerVerdict     float64 `json:"ribbon_ns_per_verdict"`
-	RibbonAllocsPerVerdict float64 `json:"ribbon_allocs_per_verdict"`
-	RibbonNetRequests      int64   `json:"ribbon_net_requests"`
-	RibbonDigest           string  `json:"ribbon_digest"`
-	ShardedNetRequests     int64   `json:"sharded_net_requests"`
-	ShardedDigest          string  `json:"sharded_digest"`
+	Workers            int     `json:"workers"`
+	Verdicts           int     `json:"verdicts"`
+	VerdictsPerSec     float64 `json:"verdicts_per_sec"`
+	NsPerVerdict       float64 `json:"ns_per_verdict"`
+	AllocsPerVerdict   float64 `json:"allocs_per_verdict"`
+	BytesPerVerdict    float64 `json:"bytes_per_verdict"`
+	Rejects            int     `json:"rejects"`
+	Revocations        int     `json:"revocations_detected"`
+	CascadeHits        int     `json:"cascade_hits"`
+	CascadeMisses      int     `json:"cascade_misses"`
+	CascadeStale       int     `json:"cascade_stale"`
+	NetRequests        int64   `json:"net_requests"`
+	Digest             string  `json:"digest"`
+	ShardedNetRequests int64   `json:"sharded_net_requests"`
+	ShardedDigest      string  `json:"sharded_digest"`
 }
 
 // Gates records the acceptance checks and the numbers that decided them.
@@ -125,20 +107,16 @@ type Gates struct {
 	CoverageExact   bool    `json:"coverage_exact"`
 	OfflineAllocsOK bool    `json:"offline_allocs_ok"`
 	FullyOfflineOK  bool    `json:"fully_offline_ok"`
-
-	// Succinct-family gates (ISSUE 9, computed only under -levelkind auto).
-	// RibbonSnapshotRatio is ribbon over Bloom final-snapshot bytes (cap 0.70).
-	RibbonSnapshotRatio float64 `json:"ribbon_snapshot_ratio"`
-	RibbonSnapshotOK    bool    `json:"ribbon_snapshot_ok"`
-	// ShardedCRLSetRatio is sharded-ribbon bytes/day/client over CRLSet
-	// bytes/day (must stay below 1: full web coverage under the CRLSet's
-	// own budget).
+	// FinalSnapshotOK: the final snapshot fits its absolute ceiling.
+	FinalSnapshotOK bool `json:"final_snapshot_ok"`
+	// ShardedCRLSetRatio is sharded bytes/day/client over CRLSet bytes/day
+	// (must stay below 1: full web coverage under the CRLSet's own
+	// budget).
 	ShardedCRLSetRatio float64 `json:"sharded_crlset_ratio"`
 	ShardedOK          bool    `json:"sharded_ok"`
-	// RibbonProbeRatio is ribbon over Bloom offline ns/verdict (cap 2).
-	RibbonProbeRatio float64 `json:"ribbon_probe_ratio"`
-	RibbonProbeOK    bool    `json:"ribbon_probe_ok"`
-	// DigestsEqual: Bloom, ribbon, and sharded fleet passes returned the
+	// ProbeOK: offline ns/verdict fits its absolute ceiling.
+	ProbeOK bool `json:"probe_ok"`
+	// DigestsEqual: the monolithic and sharded fleet passes returned the
 	// same verdict stream.
 	DigestsEqual bool `json:"digests_equal"`
 }
@@ -154,21 +132,45 @@ type Report struct {
 	Gates       Gates     `json:"gates"`
 }
 
-// Acceptance floors (ISSUE 8 baseline gates, ISSUE 9 succinct gates).
 const (
-	maxCRLSetRatio         = 2.0
-	maxOfflineAllocs       = 0.20
-	maxRibbonSnapshotRatio = 0.70
-	maxRibbonProbeRatio    = 2.0
+	maxCRLSetRatio   = 2.0
+	maxOfflineAllocs = 0.20
 )
 
-func runBench(cfg Config, stdout io.Writer) (*Report, error) {
-	kind, err := cascade.ParseLevelKind(cfg.LevelKind)
-	if err != nil {
-		return nil, err
+// ceilings are the absolute limits that replaced the cross-family
+// ratios (ribbon final snapshot <= 0.70x Bloom, ribbon probe <= 2x Bloom
+// ns/verdict) when the Bloom level family was retired: each is that
+// ratio applied to the Bloom chain's value on the same configuration.
+type ceilings struct {
+	finalSnapshotBytes int
+	nsPerVerdict       float64
+}
+
+var (
+	// fullCeilings: 0.70 x the 80,225 B Bloom final snapshot and 2 x the
+	// 507 ns/verdict Bloom offline pass recorded in BENCH_pr9.json.
+	fullCeilings = ceilings{finalSnapshotBytes: 56157, nsPerVerdict: 1015}
+	// quickCeilings: 0.70 x the smallest Bloom final snapshot (16,561 B)
+	// and 2 x the median Bloom ns/verdict (446 ns) over 12 -quick runs on
+	// a 2-core Intel Xeon host (GOMAXPROCS 2).
+	quickCeilings = ceilings{finalSnapshotBytes: 11592, nsPerVerdict: 892}
+)
+
+// quickDigest is the -quick fleet digest, identical in every -quick run
+// of both level families before the Bloom family was retired; a full
+// run's digest is pinned by the record instead.
+const quickDigest = "f087d1f73362f44a"
+
+func (cfg Config) ceilings() ceilings {
+	if cfg.Quick {
+		return quickCeilings
 	}
+	return fullCeilings
+}
+
+func runBench(cfg Config, stdout io.Writer) (*Report, error) {
 	rep := &Report{
-		Schema:      "bench_pr9/v1",
+		Schema:      "bench_pr9/v2",
 		RecordedCPU: cpuModel(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Config:      cfg,
@@ -192,14 +194,7 @@ func runBench(cfg Config, stdout io.Writer) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The primary chain: Bloom levels unless -levelkind ribbon asked for a
-	// ribbon-only run. Under auto the ribbon family is measured separately
-	// below so the primary numbers stay the Bloom baseline.
-	primaryKind := cascade.KindBloom
-	if kind == cascade.KindRibbon {
-		primaryKind = cascade.KindRibbon
-	}
-	series, err := feed.PublishKind(primaryKind)
+	series, err := feed.Publish()
 	if err != nil {
 		return nil, err
 	}
@@ -263,54 +258,34 @@ func runBench(cfg Config, stdout io.Writer) (*Report, error) {
 	fmt.Fprintf(stdout, "  coverage: %d/%d listed revocations, %d FP / %d FN over %d certs\n",
 		b.Covered, b.ListedRevocations, b.FalsePositives, b.FalseNegatives, b.CertsChecked)
 
-	// The succinct family: ribbon levels over the same feed, then the
-	// per-issuer sharded ribbon chain priced for a web-trust client.
-	if kind == cascade.KindAuto {
-		ribbonSeries, err := feed.PublishKind(cascade.KindRibbon)
-		if err != nil {
-			return nil, err
-		}
-		b.RibbonFinalSnapshotBytes = len(ribbonSeries.Final)
-		ribbonTotal := len(ribbonSeries.First)
-		for _, d := range ribbonSeries.Deltas[1:] {
-			b.RibbonDeltaChainBytes += len(d)
-		}
-		ribbonTotal += b.RibbonDeltaChainBytes
-		b.RibbonBytesPerDay = float64(ribbonTotal) / float64(len(ribbonSeries.Days))
-		ribbonAudit, err := world.AuditCascade(ribbonSeries.Final, finalDay)
-		if err != nil {
-			return nil, err
-		}
-		b.RibbonCoverageExact = ribbonAudit.ListedRevocations > 0 && ribbonAudit.Exact()
-
-		sharded, err := feed.PublishSharded(cascade.KindRibbon)
-		if err != nil {
-			return nil, err
-		}
-		webParents := make(map[cascade.Parent]bool, len(world.Authorities))
-		for _, a := range world.Authorities {
-			if a.Profile.WebCA() {
-				webParents[cascade.Parent(a.Parent)] = true
-			}
-		}
-		webTrust := func(p cascade.Parent) bool { return webParents[p] }
-		total, nDays := sharded.ClientBytes(webTrust)
-		b.Shards = len(sharded.Parents)
-		b.ShardedRibbonBytesPerDay = float64(total) / float64(nDays)
-		webSet, err := sharded.Install(webTrust)
-		if err != nil {
-			return nil, err
-		}
-		b.TrustedShards = webSet.NumShards()
-		shardAudit, err := world.AuditCascadeShards(webSet, finalDay)
-		if err != nil {
-			return nil, err
-		}
-		b.ShardCoverageExact = shardAudit.CertsChecked > 0 && shardAudit.Exact()
-		fmt.Fprintf(stdout, "  succinct: ribbon %.0f B/day (final snapshot %d B vs %d B Bloom), sharded %.0f B/day/client over %d/%d trusted shards\n",
-			b.RibbonBytesPerDay, b.RibbonFinalSnapshotBytes, b.FinalSnapshotBytes,
-			b.ShardedRibbonBytesPerDay, b.TrustedShards, b.Shards)
+	// The per-issuer sharded chain, priced for a web-trust client.
+	sharded, err := feed.PublishSharded(cascade.KindRibbon)
+	if err != nil {
+		return nil, err
 	}
+	webParents := make(map[cascade.Parent]bool, len(world.Authorities))
+	for _, a := range world.Authorities {
+		if a.Profile.WebCA() {
+			webParents[cascade.Parent(a.Parent)] = true
+		}
+	}
+	webTrust := func(p cascade.Parent) bool { return webParents[p] }
+	total, nDays := sharded.ClientBytes(webTrust)
+	b.Shards = len(sharded.Parents)
+	b.ShardedBytesPerDay = float64(total) / float64(nDays)
+	webSet, err := sharded.Install(webTrust)
+	if err != nil {
+		return nil, err
+	}
+	b.TrustedShards = webSet.NumShards()
+	shardAudit, err := world.AuditCascadeShards(webSet, finalDay)
+	if err != nil {
+		return nil, err
+	}
+	b.ShardCoverageExact = shardAudit.CertsChecked > 0 && shardAudit.Exact()
+	limits := cfg.ceilings()
+	fmt.Fprintf(stdout, "  snapshot: final %d B (ceiling %d B), sharded %.0f B/day/client over %d/%d trusted shards\n",
+		b.FinalSnapshotBytes, limits.finalSnapshotBytes, b.ShardedBytesPerDay, b.TrustedShards, b.Shards)
 
 	// Client side: the fully-offline fleet path.
 	fleetCfg := fleet.Config{
@@ -325,14 +300,11 @@ func runBench(cfg Config, stdout io.Writer) (*Report, error) {
 	}
 	// Warm-up run so the measured pass sees steady-state allocator
 	// behaviour, then the measured pass.
-	primaryOpts := fleet.RunOptions{Workers: cfg.Workers, Cascade: true}
-	if primaryKind == cascade.KindRibbon {
-		primaryOpts = fleet.RunOptions{Workers: cfg.Workers, CascadeRibbon: true}
-	}
-	if _, err := fw.Run(primaryOpts); err != nil {
+	opts := fleet.RunOptions{Workers: cfg.Workers, Cascade: true}
+	if _, err := fw.Run(opts); err != nil {
 		return nil, err
 	}
-	res, err := fw.Run(primaryOpts)
+	res, err := fw.Run(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -352,36 +324,17 @@ func runBench(cfg Config, stdout io.Writer) (*Report, error) {
 	o.CascadeStale = res.FastPath.CascadeStale
 	o.NetRequests = res.NetRequests
 	o.Digest = fmt.Sprintf("%016x", res.Digest)
-	fmt.Fprintf(stdout, "  offline fleet: %.0f verdicts/s, %.2f allocs/verdict, %d net requests\n",
-		o.VerdictsPerSec, o.AllocsPerVerdict, o.NetRequests)
 
-	// Ribbon and sharded fleet passes: the same evaluation schedule with a
-	// different installed representation, so the digests must agree.
-	if kind == cascade.KindAuto {
-		ribbonOpts := fleet.RunOptions{Workers: cfg.Workers, CascadeRibbon: true}
-		if _, err := fw.Run(ribbonOpts); err != nil {
-			return nil, err
-		}
-		resR, err := fw.Run(ribbonOpts)
-		if err != nil {
-			return nil, err
-		}
-		if resR.Verdicts > 0 {
-			o.RibbonNsPerVerdict = float64(resR.Elapsed.Nanoseconds()) / float64(resR.Verdicts)
-		}
-		o.RibbonAllocsPerVerdict = resR.AllocsPerVerdict
-		o.RibbonNetRequests = resR.NetRequests
-		o.RibbonDigest = fmt.Sprintf("%016x", resR.Digest)
-		resS, err := fw.Run(fleet.RunOptions{Workers: cfg.Workers, CascadeShards: true})
-		if err != nil {
-			return nil, err
-		}
-		o.ShardedNetRequests = resS.NetRequests
-		o.ShardedDigest = fmt.Sprintf("%016x", resS.Digest)
-		fmt.Fprintf(stdout, "  ribbon fleet: %.0f ns/verdict (Bloom %.0f), %.2f allocs/verdict, digests %s/%s/%s\n",
-			o.RibbonNsPerVerdict, o.NsPerVerdict, o.RibbonAllocsPerVerdict,
-			o.Digest, o.RibbonDigest, o.ShardedDigest)
+	// The sharded install: the same evaluation schedule routed through
+	// the per-issuer path, so the digest must agree.
+	resS, err := fw.Run(fleet.RunOptions{Workers: cfg.Workers, CascadeShards: true})
+	if err != nil {
+		return nil, err
 	}
+	o.ShardedNetRequests = resS.NetRequests
+	o.ShardedDigest = fmt.Sprintf("%016x", resS.Digest)
+	fmt.Fprintf(stdout, "  offline fleet: %.0f verdicts/s, %.0f ns/verdict (ceiling %.0f), %.2f allocs/verdict, %d net requests, digests %s/%s\n",
+		o.VerdictsPerSec, o.NsPerVerdict, limits.nsPerVerdict, o.AllocsPerVerdict, o.NetRequests, o.Digest, o.ShardedDigest)
 
 	g := &rep.Gates
 	if b.CascadeBytesPerDay > 0 {
@@ -389,36 +342,25 @@ func runBench(cfg Config, stdout io.Writer) (*Report, error) {
 	}
 	if b.CRLSetBytesPerDay > 0 {
 		g.CRLSetRatio = b.CascadeBytesPerDay / b.CRLSetBytesPerDay
+		g.ShardedCRLSetRatio = b.ShardedBytesPerDay / b.CRLSetBytesPerDay
 	}
 	g.BandwidthOK = b.CascadeBytesPerDay < b.RawCRLBytesPerDay &&
 		(b.CRLSetBytesPerDay == 0 || g.CRLSetRatio <= maxCRLSetRatio)
 	g.CoverageExact = b.ListedRevocations > 0 && audit.Exact()
 	g.OfflineAllocsOK = o.AllocsPerVerdict <= maxOfflineAllocs
-	g.FullyOfflineOK = o.NetRequests == 0 && o.CascadeStale == 0
-	if kind == cascade.KindAuto {
-		if b.FinalSnapshotBytes > 0 {
-			g.RibbonSnapshotRatio = float64(b.RibbonFinalSnapshotBytes) / float64(b.FinalSnapshotBytes)
-		}
-		g.RibbonSnapshotOK = g.RibbonSnapshotRatio > 0 &&
-			g.RibbonSnapshotRatio <= maxRibbonSnapshotRatio && b.RibbonCoverageExact
-		if b.CRLSetBytesPerDay > 0 {
-			g.ShardedCRLSetRatio = b.ShardedRibbonBytesPerDay / b.CRLSetBytesPerDay
-		}
-		g.ShardedOK = b.ShardedRibbonBytesPerDay > 0 && b.ShardCoverageExact &&
-			(b.CRLSetBytesPerDay == 0 || g.ShardedCRLSetRatio < 1)
-		if o.NsPerVerdict > 0 {
-			g.RibbonProbeRatio = o.RibbonNsPerVerdict / o.NsPerVerdict
-		}
-		g.RibbonProbeOK = g.RibbonProbeRatio > 0 && g.RibbonProbeRatio <= maxRibbonProbeRatio &&
-			o.RibbonAllocsPerVerdict <= maxOfflineAllocs && o.RibbonNetRequests == 0
-		g.DigestsEqual = o.Digest == o.RibbonDigest && o.Digest == o.ShardedDigest
-	}
+	g.FullyOfflineOK = o.NetRequests == 0 && o.CascadeStale == 0 && o.ShardedNetRequests == 0
+	g.FinalSnapshotOK = b.FinalSnapshotBytes > 0 && b.FinalSnapshotBytes <= limits.finalSnapshotBytes
+	g.ShardedOK = b.ShardedBytesPerDay > 0 && b.ShardCoverageExact &&
+		(b.CRLSetBytesPerDay == 0 || g.ShardedCRLSetRatio < 1)
+	g.ProbeOK = o.NsPerVerdict > 0 && o.NsPerVerdict <= limits.nsPerVerdict
+	g.DigestsEqual = o.Digest == o.ShardedDigest
 	return rep, nil
 }
 
 // checkGates fails when any acceptance gate is unmet in rep.
 func checkGates(rep *Report) error {
 	g, b, o := rep.Gates, rep.Bandwidth, rep.Offline
+	limits := rep.Config.ceilings()
 	if !g.BandwidthOK {
 		return fmt.Errorf("bandwidth gate failed: cascade %.0f B/day vs raw CRLs %.0f B/day (%.1fx) and CRLSet %.0f B/day (%.2fx, cap %.0fx)",
 			b.CascadeBytesPerDay, b.RawCRLBytesPerDay, g.RawCRLRatio, b.CRLSetBytesPerDay, g.CRLSetRatio, maxCRLSetRatio)
@@ -431,36 +373,30 @@ func checkGates(rep *Report) error {
 		return fmt.Errorf("alloc gate failed: %.2f allocs/verdict > %.2f", o.AllocsPerVerdict, maxOfflineAllocs)
 	}
 	if !g.FullyOfflineOK {
-		return fmt.Errorf("offline gate failed: %d net requests, %d stale-cascade verdicts", o.NetRequests, o.CascadeStale)
+		return fmt.Errorf("offline gate failed: %d net requests (%d sharded), %d stale-cascade verdicts",
+			o.NetRequests, o.ShardedNetRequests, o.CascadeStale)
 	}
-	if rep.Config.LevelKind != "auto" {
-		return nil // single-family run: the cross-family gates were not measured
-	}
-	if !g.RibbonSnapshotOK {
-		return fmt.Errorf("ribbon snapshot gate failed: %d B vs %d B Bloom (%.2fx, cap %.2fx, exact=%v)",
-			b.RibbonFinalSnapshotBytes, b.FinalSnapshotBytes, g.RibbonSnapshotRatio,
-			maxRibbonSnapshotRatio, b.RibbonCoverageExact)
+	if !g.FinalSnapshotOK {
+		return fmt.Errorf("snapshot gate failed: final snapshot %d B > ceiling %d B",
+			b.FinalSnapshotBytes, limits.finalSnapshotBytes)
 	}
 	if !g.ShardedOK {
 		return fmt.Errorf("sharded gate failed: %.0f B/day/client vs CRLSet %.0f B/day (%.2fx, must be <1x, exact=%v)",
-			b.ShardedRibbonBytesPerDay, b.CRLSetBytesPerDay, g.ShardedCRLSetRatio, b.ShardCoverageExact)
+			b.ShardedBytesPerDay, b.CRLSetBytesPerDay, g.ShardedCRLSetRatio, b.ShardCoverageExact)
 	}
-	if !g.RibbonProbeOK {
-		return fmt.Errorf("ribbon probe gate failed: %.0f ns/verdict vs Bloom %.0f (%.2fx, cap %.2fx), %.2f allocs, %d net requests",
-			o.RibbonNsPerVerdict, o.NsPerVerdict, g.RibbonProbeRatio, maxRibbonProbeRatio,
-			o.RibbonAllocsPerVerdict, o.RibbonNetRequests)
+	if !g.ProbeOK {
+		return fmt.Errorf("probe gate failed: %.0f ns/verdict > ceiling %.0f", o.NsPerVerdict, limits.nsPerVerdict)
 	}
 	if !g.DigestsEqual {
-		return fmt.Errorf("digest gate failed: bloom %s, ribbon %s, sharded %s",
-			o.Digest, o.RibbonDigest, o.ShardedDigest)
+		return fmt.Errorf("digest gate failed: monolithic %s, sharded %s", o.Digest, o.ShardedDigest)
 	}
 	return nil
 }
 
-// checkAgainst compares a fresh run against the recorded file. Gate
-// ratios are scale-invariant and alloc counts are fixture-size
-// independent, so a -quick run is comparable; allocs get 2x+1 slack for
-// runtime noise.
+// checkAgainst compares a fresh run against the recorded file. Alloc
+// counts are fixture-size independent, so a -quick run is comparable;
+// allocs get 2x+1 slack for runtime noise. The fleet digest must equal
+// the record's (or, under -quick, quickDigest).
 func checkAgainst(recorded, current *Report) error {
 	if err := checkGates(current); err != nil {
 		return err
@@ -470,10 +406,12 @@ func checkAgainst(recorded, current *Report) error {
 		return fmt.Errorf("offline allocs/verdict regressed: %.2f > limit %.2f (recorded %.2f)",
 			current.Offline.AllocsPerVerdict, limit, recorded.Offline.AllocsPerVerdict)
 	}
-	rlimit := recorded.Offline.RibbonAllocsPerVerdict*2 + 1
-	if current.Offline.RibbonAllocsPerVerdict > rlimit {
-		return fmt.Errorf("ribbon allocs/verdict regressed: %.2f > limit %.2f (recorded %.2f)",
-			current.Offline.RibbonAllocsPerVerdict, rlimit, recorded.Offline.RibbonAllocsPerVerdict)
+	want := recorded.Offline.Digest
+	if current.Config.Quick {
+		want = quickDigest
+	}
+	if current.Offline.Digest != want {
+		return fmt.Errorf("fleet digest %s differs from the pinned %s", current.Offline.Digest, want)
 	}
 	return nil
 }
@@ -504,10 +442,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	evals := fs.Int("evals", 48, "evaluations per browser")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines driving the browsers")
 	fleetSeed := fs.Int64("fleet-seed", 1, "fleet world seed")
-	levelKind := fs.String("levelkind", "auto", "level family: bloom or ribbon for a single-family run, auto for both plus the cross-family gates")
 	out := fs.String("o", "", "write the JSON report to this file")
 	check := fs.String("check", "", "re-run and fail if gates or recorded numbers regress")
-	quick := fs.Bool("quick", false, "small world and fleet (gate ratios stay comparable; ns/op does not)")
+	quick := fs.Bool("quick", false, "small world and fleet, gated against the -quick ceilings and digest")
 	verbose := fs.Bool("v", false, "print the resulting JSON to stdout")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -516,13 +453,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *out != "" && *check != "" {
 		fmt.Fprintln(stderr, "benchcascade: -o and -check are mutually exclusive")
-		return 2
-	}
-	if kindFlag, err := cascade.ParseLevelKind(*levelKind); err != nil {
-		fmt.Fprintln(stderr, "benchcascade:", err)
-		return 2
-	} else if (*out != "" || *check != "") && kindFlag != cascade.KindAuto {
-		fmt.Fprintln(stderr, "benchcascade: -o/-check require -levelkind auto (the record compares both families)")
 		return 2
 	}
 	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
@@ -544,7 +474,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		EvalsPerBrowser: *evals,
 		Workers:         *workers,
 		FleetSeed:       *fleetSeed,
-		LevelKind:       *levelKind,
+		Quick:           *quick,
 	}
 	if *quick {
 		cfg.Scale = 0.002

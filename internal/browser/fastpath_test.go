@@ -308,7 +308,7 @@ func buildShardInstall(t *testing.T, chain []*x509x.Certificate, revokedSerials 
 			}
 		}
 		f, err := cascade.Build(revoked, visit, []cascade.Parent{p}, cascade.BuildConfig{
-			Epoch: 1, BuiltAt: now, MaxAge: 48 * time.Hour, LevelKind: cascade.KindRibbon,
+			Epoch: 1, BuiltAt: now, MaxAge: 48 * time.Hour,
 		})
 		if err != nil {
 			t.Fatal(err)

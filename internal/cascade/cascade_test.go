@@ -77,6 +77,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := f.Encode()
+	if enc[4] != snapVersion {
+		t.Fatalf("snapshot encoded as version %d", enc[4])
+	}
 	if len(enc) != f.SizeBytes() {
 		t.Errorf("SizeBytes = %d, encoded %d", f.SizeBytes(), len(enc))
 	}
@@ -135,6 +138,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := f.Encode()
+	lvl1 := headerSize + f.NumParents()*ParentSize // level 1's kind byte
 
 	for cut := 0; cut < len(enc); cut += 97 {
 		if _, err := Decode(enc[:cut]); err == nil {
@@ -155,13 +159,11 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		return b
 	}
 	hostile := map[string]func([]byte){
-		"zero levels":     func(b []byte) { binary.LittleEndian.PutUint32(b[37:], 0) },
-		"too many levels": func(b []byte) { binary.LittleEndian.PutUint32(b[37:], 1000) },
-		"huge parents":    func(b []byte) { binary.LittleEndian.PutUint32(b[33:], 1<<23) },
-		"zero hash count": func(b []byte) { binary.LittleEndian.PutUint32(b[headerSize+f.NumParents()*ParentSize:], 0) },
-		"oversized mbits": func(b []byte) {
-			binary.LittleEndian.PutUint64(b[headerSize+f.NumParents()*ParentSize+4:], 1<<60)
-		},
+		"zero levels":      func(b []byte) { binary.LittleEndian.PutUint32(b[37:], 0) },
+		"too many levels":  func(b []byte) { binary.LittleEndian.PutUint32(b[37:], 1000) },
+		"huge parents":     func(b []byte) { binary.LittleEndian.PutUint32(b[33:], 1<<23) },
+		"zero fingerprint": func(b []byte) { b[lvl1+1] = 0 },
+		"oversized slots":  func(b []byte) { binary.LittleEndian.PutUint32(b[lvl1+3:], 1<<30) },
 		"unsorted parents": func(b []byte) {
 			p := b[headerSize : headerSize+2*ParentSize]
 			q := make([]byte, ParentSize)
@@ -179,17 +181,17 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-// chainWorld simulates daily churn for publisher tests: a growing
-// population with daily adds and occasional removals.
-func runChain(t *testing.T, days int, cap int, withRemovals bool, kind LevelKind) (*Publisher, [][]byte, [][]byte, *synthWorld) {
+// runChain simulates daily churn for publisher tests: a fixed
+// population with 40 random additions a day and, when withRemovals is
+// set, ten removals every third day. It checks the final snapshot
+// against ground truth before returning.
+func runChain(t *testing.T, days int, withRemovals bool) (*Publisher, [][]byte, [][]byte, *synthWorld) {
 	t.Helper()
 	w := newSynthWorld(5, 4, 12000, 0)
 	pub := NewPublisher(PublishConfig{
-		Parents:        w.parents,
-		VisitKnown:     w.visit,
-		MaxAge:         72 * time.Hour,
-		Level1Capacity: cap,
-		LevelKind:      kind,
+		Parents:    w.parents,
+		VisitKnown: w.visit,
+		MaxAge:     72 * time.Hour,
 	})
 	rng := rand.New(rand.NewSource(99))
 	var snaps, deltas [][]byte
@@ -254,7 +256,7 @@ func TestDeltaChainRoundTrip(t *testing.T) {
 			name = "with-removals"
 		}
 		t.Run(name, func(t *testing.T) {
-			_, snaps, deltas, _ := runChain(t, 8, 2048, removals, KindBloom)
+			_, snaps, deltas, _ := runChain(t, 8, removals)
 			cur := snaps[0]
 			for i, d := range deltas {
 				next, err := Apply(cur, d)
@@ -296,7 +298,7 @@ func lenSum(bs [][]byte) int {
 // TestDeltaFences pins the epoch fence: a delta applied to anything but
 // its exact base errors out instead of corrupting the filter.
 func TestDeltaFences(t *testing.T) {
-	_, snaps, deltas, _ := runChain(t, 4, 2048, false, KindBloom)
+	_, snaps, deltas, _ := runChain(t, 4, false)
 	if _, err := Apply(snaps[0], deltas[1]); err == nil {
 		t.Error("applied day-2 delta to day-0 base")
 	}
@@ -314,92 +316,84 @@ func TestDeltaFences(t *testing.T) {
 	}
 }
 
-// TestDeltaSizeTracksChurn: a daily delta must be proportional to the
-// day's churn, far below the full snapshot.
+// TestDeltaSizeTracksChurn: between freezes a daily delta must be
+// proportional to the day's churn, far below the full snapshot. Day 0
+// freezes 2000 keys; the following days' additions stay inside the
+// stash budget, so no re-freeze interrupts the tail-append path.
 func TestDeltaSizeTracksChurn(t *testing.T) {
-	_, snaps, deltas, _ := runChain(t, 6, 4096, false, KindBloom)
-	full := len(snaps[len(snaps)-1])
-	for i, d := range deltas {
-		if len(d) >= full/2 {
-			t.Errorf("delta %d is %d B, snapshot %d B — not incremental", i, len(d), full)
+	w := newSynthWorld(5, 4, 12000, 0)
+	pub := NewPublisher(PublishConfig{Parents: w.parents, VisitKnown: w.visit})
+	if _, _, err := pub.Advance(t0, w.keys[:2000], nil); err != nil {
+		t.Fatal(err)
+	}
+	for day := 1; day <= 3; day++ {
+		snap, delta, err := pub.Advance(t0.AddDate(0, 0, day), w.keys[2000+40*(day-1):2000+40*day], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pub.StashLen() != 40*day {
+			t.Fatalf("day %d: stash %d, want %d (unexpected re-freeze)", day, pub.StashLen(), 40*day)
+		}
+		if len(delta) >= len(snap)/2 {
+			t.Errorf("day %d: delta is %d B, snapshot %d B — not incremental", day, len(delta), len(snap))
 		}
 	}
 }
 
-// TestPublisherMatchesBuild: with no removals and no resize, the chain's
-// day-N snapshot must be byte-identical to a from-scratch Build with the
-// same parameters — the incremental path cannot drift.
+// TestPublisherMatchesBuild: the incremental chain cannot drift from a
+// from-scratch Build. A freshly frozen epoch is byte-identical to Build
+// over the same set; later epochs (stash growth, removals) give the same
+// verdict as Build for every key.
 func TestPublisherMatchesBuild(t *testing.T) {
-	pub, snaps, _, w := runChain(t, 5, 2048, false, KindBloom)
-	f, err := Decode(snaps[len(snaps)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var revoked [][]byte
-	for _, k := range w.keys {
-		if f.Revoked(k) {
-			revoked = append(revoked, k)
+	pub, snaps, _, w := runChain(t, 5, true)
+	revokedAt := func(snap []byte) [][]byte {
+		f, err := Decode(snap)
+		if err != nil {
+			t.Fatal(err)
 		}
+		var out [][]byte
+		for _, k := range w.keys {
+			if f.Revoked(k) {
+				out = append(out, k)
+			}
+		}
+		return out
 	}
-	if len(revoked) != pub.NumRevoked() {
-		t.Fatalf("verdict count %d != publisher set %d", len(revoked), pub.NumRevoked())
-	}
-	fresh, err := Build(revoked, w.visit, w.parents, BuildConfig{
-		Epoch:          pub.Epoch(),
-		BuiltAt:        f.BuiltAt(),
-		MaxAge:         72 * time.Hour,
-		Level1Capacity: 2048,
+
+	first, err := Build(revokedAt(snaps[0]), w.visit, w.parents, BuildConfig{
+		Epoch: 1, BuiltAt: t0, MaxAge: 72 * time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(fresh.Encode(), snaps[len(snaps)-1]) {
-		t.Fatal("incremental snapshot drifted from from-scratch build")
+	if !bytes.Equal(first.Encode(), snaps[0]) {
+		t.Fatal("freshly frozen snapshot differs from a from-scratch build")
 	}
-}
 
-// TestPublisherResize: outgrowing the level-1 capacity triggers a
-// rebuild that stays exact and keeps the chain appliable.
-func TestPublisherResize(t *testing.T) {
-	w := newSynthWorld(6, 2, 6000, 0)
-	pub := NewPublisher(PublishConfig{Parents: w.parents, VisitKnown: w.visit, Level1Capacity: 64})
-	var snaps, deltas [][]byte
-	for day := 0; day < 4; day++ {
-		adds := w.keys[day*50 : (day+1)*50] // blows through 64 capacity on day 2
-		snap, delta, err := pub.Advance(t0.AddDate(0, 0, day), adds, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snaps = append(snaps, snap)
-		if delta != nil {
-			deltas = append(deltas, delta)
-		}
+	final := revokedAt(snaps[len(snaps)-1])
+	if len(final) != pub.NumRevoked() {
+		t.Fatalf("verdict count %d != publisher set %d", len(final), pub.NumRevoked())
 	}
-	f, err := Decode(snaps[3])
+	fresh, err := Build(final, w.visit, w.parents, BuildConfig{Epoch: pub.Epoch(), BuiltAt: t0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(snaps[len(snaps)-1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, k := range w.keys {
-		if f.Revoked(k) != (i < 200) {
-			t.Fatalf("post-resize verdict drift at key %d", i)
+		if got.Revoked(k) != fresh.Revoked(k) {
+			t.Fatalf("key %d: chain and from-scratch build disagree", i)
 		}
-	}
-	cur := snaps[0]
-	for i, d := range deltas {
-		if cur, err = Apply(cur, d); err != nil {
-			t.Fatalf("delta %d across resize: %v", i, err)
-		}
-	}
-	if !bytes.Equal(cur, snaps[3]) {
-		t.Fatal("delta chain across resize not byte-identical")
 	}
 }
 
 // TestRemovalFlipsVerdict: removing a key must flip its verdict to Good
-// while the level-1 bits stay untouched (the whitelist path).
+// (the whitelist path) and the delta must carry the epoch step.
 func TestRemovalFlipsVerdict(t *testing.T) {
 	w := newSynthWorld(7, 2, 4000, 0)
-	pub := NewPublisher(PublishConfig{Parents: w.parents, VisitKnown: w.visit, Level1Capacity: 512})
+	pub := NewPublisher(PublishConfig{Parents: w.parents, VisitKnown: w.visit})
 	victim := w.keys[0]
 	s1, _, err := pub.Advance(t0, [][]byte{victim, w.keys[1]}, nil)
 	if err != nil {
@@ -424,7 +418,7 @@ func TestRemovalFlipsVerdict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Removes != 1 || info.Adds != 0 || info.BaseEpoch != 1 || info.TargetEpoch != 2 {
+	if info.BaseEpoch != 1 || info.TargetEpoch != 2 {
 		t.Fatalf("delta metadata %+v", info)
 	}
 }

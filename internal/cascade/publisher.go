@@ -18,41 +18,20 @@ type PublishConfig struct {
 	VisitKnown func(fn func(key []byte) bool)
 	// MaxAge stamps each snapshot's freshness window. Zero = forever.
 	MaxAge time.Duration
-	// Level1Capacity is the initial level-1 key capacity (Bloom chains
-	// only). The level-1 bit array is sized once from it and daily
-	// additions are OR'd in place, keeping day-to-day deltas
-	// proportional to churn; when lifetime insertions outgrow the
-	// capacity the publisher resizes (a full rebuild and a large
-	// one-time delta). Zero defaults to 4096.
-	Level1Capacity int
-	// LevelKind selects the chain's level representation. KindBloom
-	// (the zero value) is the original OR-in-place Bloom chain and its
-	// CASC v1 bytes; KindRibbon/KindAuto run the succinct ribbon chain:
-	// level 1 is a frozen exact solution over R, daily additions land
-	// in an exact stash (the level's side list, a tail append in the
-	// encoding), and when the stash outgrows its budget the publisher
-	// re-freezes — a full re-solve and a large one-time delta, the same
-	// escape hatch as a Bloom resize.
-	LevelKind LevelKind
 }
 
 // Publisher maintains a daily cascade chain: one call to Advance per
 // epoch yields the full snapshot and a delta against the previous one.
+// Level 1 is a frozen exact ribbon solution over R; daily additions land
+// in an exact stash (the level's side list, a tail append in the
+// encoding), and when the stash outgrows its budget the publisher
+// re-freezes — a full re-solve and a large one-time delta.
 type Publisher struct {
 	cfg     PublishConfig
 	epoch   uint32
 	revoked map[string]bool // current R
 	prev    []byte          // previous epoch's encoded snapshot
 
-	// Bloom chain state.
-	lvl1 level // accumulated; params fixed between resizes
-	// inserted counts distinct keys ever OR'd into lvl1 — removals keep
-	// their bits, so fill (and the FP rate driving level-2 size) tracks
-	// lifetime insertions, not |R|.
-	inserted int
-	capacity int
-
-	// Ribbon chain state.
 	rib      *ribbon.Filter  // frozen level-1 solution
 	ribBumps []uint32        // rows bumped at the last freeze, truncated+sorted
 	stash    []uint32        // post-freeze additions (truncated Hash64), arrival order
@@ -63,19 +42,7 @@ type Publisher struct {
 // NewPublisher creates an empty chain. The first Advance produces
 // epoch 1 with no delta.
 func NewPublisher(cfg PublishConfig) *Publisher {
-	p := &Publisher{
-		cfg:     cfg,
-		revoked: make(map[string]bool),
-	}
-	if cfg.LevelKind == KindBloom {
-		cap := cfg.Level1Capacity
-		if cap <= 0 {
-			cap = 4096
-		}
-		p.lvl1 = newLevel(level1K, sizeLevel1(cap))
-		p.capacity = cap
-	}
-	return p
+	return &Publisher{cfg: cfg, revoked: make(map[string]bool)}
 }
 
 // Epoch returns the last published epoch (0 before the first Advance).
@@ -84,8 +51,8 @@ func (p *Publisher) Epoch() uint32 { return p.epoch }
 // NumRevoked returns the current revoked-set size.
 func (p *Publisher) NumRevoked() int { return len(p.revoked) }
 
-// StashLen returns the ribbon chain's current stash size (0 for Bloom
-// chains and right after a freeze).
+// StashLen returns the chain's current stash size (0 right after a
+// freeze).
 func (p *Publisher) StashLen() int { return len(p.stash) }
 
 // Snapshot returns the last published snapshot bytes (nil before the
@@ -99,56 +66,14 @@ func (p *Publisher) Snapshot() []byte { return p.prev }
 // the delta chain client-side reconstructs these exact bytes, fenced by
 // CRC at every hop.
 //
-// Bloom chains OR additions into the fixed-size level 1 and ship the
-// added keys in the delta for client-side replay. Ribbon chains leave
-// the frozen level-1 solution untouched and append additions to the
-// exact stash, which the delta's byte patch carries as a tail append.
-// Either way removals only shrink the revoked set — their level-1
-// claim stays, turning the removed keys into level-1 false positives
-// that the rebuilt level 2 whitelists, so the verdict flips to Good
-// without touching level-1 bytes. The small deep levels are rebuilt
-// from scratch every epoch.
+// Additions leave the frozen level-1 solution untouched and append to
+// the exact stash, which the delta's byte patch carries as a tail
+// append. Removals only shrink the revoked set — their level-1 claim
+// stays, turning the removed keys into level-1 false positives that the
+// rebuilt level 2 whitelists, so the verdict flips to Good without
+// touching level-1 bytes. The small deep levels are rebuilt from scratch
+// every epoch.
 func (p *Publisher) Advance(now time.Time, adds, removes [][]byte) (snapshot, deltaBytes []byte, err error) {
-	if p.cfg.LevelKind != KindBloom {
-		return p.advanceRibbon(now, adds, removes)
-	}
-	var addedKeys, removedKeys [][]byte // net-new churn, for the delta's metadata
-	for _, k := range adds {
-		if p.revoked[string(k)] {
-			continue
-		}
-		p.revoked[string(k)] = true
-		p.lvl1.add(0, k)
-		p.inserted++
-		addedKeys = append(addedKeys, k)
-	}
-	for _, k := range removes {
-		if !p.revoked[string(k)] {
-			continue
-		}
-		delete(p.revoked, string(k))
-		removedKeys = append(removedKeys, k)
-	}
-	if p.inserted > p.capacity {
-		// Outgrown: rebuild level 1 from the live set at double the
-		// need. Clears removed keys' stale bits as a side effect. The
-		// next delta is near-full-size — rare by construction.
-		p.capacity = 2*p.inserted + 64
-		p.lvl1 = newLevel(level1K, sizeLevel1(p.capacity))
-		for k := range p.revoked {
-			p.lvl1.add(0, []byte(k))
-		}
-		p.inserted = len(p.revoked)
-	}
-	// The filter built for encoding must not alias p.lvl1's live bits —
-	// Encode copies, but the in-memory levels slice shares lvl1. That is
-	// fine: lvl1 only ever gains bits before the *next* Encode, and the
-	// returned snapshot is a fresh byte slice.
-	return p.finish(now, p.lvl1, addedKeys, removedKeys)
-}
-
-// advanceRibbon is the succinct chain: frozen solution + exact stash.
-func (p *Publisher) advanceRibbon(now time.Time, adds, removes [][]byte) (snapshot, deltaBytes []byte, err error) {
 	for _, k := range adds {
 		if p.revoked[string(k)] {
 			continue
@@ -171,36 +96,24 @@ func (p *Publisher) advanceRibbon(now time.Time, adds, removes [][]byte) (snapsh
 	if p.rib == nil || len(p.stash) > stashBudget(p.frozen) {
 		// Freeze: solve level 1 exactly for the live set, sized with
 		// only the solver's ~12% slack — no growth headroom, that is
-		// the stash's job. The next delta is near-full-size, the same
-		// rare escape hatch as a Bloom resize.
-		keys := make([][]byte, 0, len(p.revoked))
-		for k := range p.revoked {
-			keys = append(keys, []byte(k))
-		}
-		rib, bumps, err := ribbon.Build(0, keys, level1RBits)
+		// the stash's job. The next delta is near-full-size, a rare
+		// escape hatch.
+		rib, bumps, err := solveLevel1(p.revoked)
 		if err != nil {
 			return nil, nil, err
 		}
-		p.rib, p.ribBumps, p.frozen = rib, truncateHashes(bumps), len(keys)
+		p.rib, p.ribBumps, p.frozen = rib, bumps, len(p.revoked)
 		p.stash, p.stashSet = nil, nil
 	}
 	side := packHashes(p.ribBumps)
 	side = append(side, packHashes(p.stash)...)
-	lvl1 := ribbonLevel(p.rib, side)
-	// Ribbon deltas ship no key lists at all. Adds: there is no bit
-	// array to replay them into, and the stash tail rides in the byte
-	// patch for 4 bytes per key instead of a full 33-byte key. Removes:
-	// the list is advisory everywhere (Apply only needs the patch), and
-	// at 33 bytes per key the late-study expiry churn would dominate
-	// per-issuer shard deltas — the rebuilt deep levels already carry
-	// the verdict flips.
-	return p.finish(now, lvl1, nil, nil)
+	return p.finish(now, ribbonLevel(p.rib, side))
 }
 
 // finish rebuilds the deep levels, encodes the epoch's snapshot and
 // diffs it against the previous one.
-func (p *Publisher) finish(now time.Time, lvl1 level, deltaAdds, removedKeys [][]byte) (snapshot, deltaBytes []byte, err error) {
-	levels, err := buildDeepLevels(lvl1, p.revoked, p.cfg.VisitKnown, p.cfg.LevelKind)
+func (p *Publisher) finish(now time.Time, lvl1 level) (snapshot, deltaBytes []byte, err error) {
+	levels, err := buildDeepLevels(lvl1, p.revoked, p.cfg.VisitKnown)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -215,7 +128,7 @@ func (p *Publisher) finish(now time.Time, lvl1 level, deltaAdds, removedKeys [][
 	}
 	snapshot = f.Encode()
 	if p.prev != nil {
-		deltaBytes, err = MakeDelta(p.prev, snapshot, deltaAdds, removedKeys)
+		deltaBytes, err = MakeDelta(p.prev, snapshot)
 		if err != nil {
 			return nil, nil, fmt.Errorf("cascade: epoch %d delta: %w", p.epoch, err)
 		}
@@ -224,14 +137,14 @@ func (p *Publisher) finish(now time.Time, lvl1 level, deltaAdds, removedKeys [][
 	return snapshot, deltaBytes, nil
 }
 
-// stashBudget is how many stashed keys a ribbon chain tolerates before
+// stashBudget is how many stashed keys a chain tolerates before
 // re-freezing: a sixteenth of the frozen set — at 4 bytes per stash
 // entry against the solution's ~1 byte/key, that caps the snapshot
-// bloat between freezes at ~25%, keeping the chain's published
-// artifact within the succinctness gate (≤0.70x Bloom) instead of
-// letting it double back to Bloom size. Floor 128 so small chains —
-// per-issuer shards especially — still go weeks between the
-// near-full-size re-freeze deltas on modest daily churn.
+// bloat between freezes at ~25%, so the published artifact stays
+// succinct instead of doubling back to a capacity-sized Bloom filter's
+// bytes. Floor 128 so small chains — per-issuer shards especially —
+// still go weeks between the near-full-size re-freeze deltas on modest
+// daily churn.
 func stashBudget(frozen int) int {
 	b := frozen / 16
 	if b < 128 {

@@ -6,68 +6,68 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/ribbon"
 )
 
-// TestRibbonBuildExactness: the zero-FP/zero-FN property must hold
-// unchanged when the levels are ribbons, and the succinct snapshot must
-// actually be succinct — at most 0.70x of the Bloom bytes (the PR gate;
-// in practice it is closer to 0.45x against a capacity-sized Bloom).
+// TestRibbonBuildExactness: exactness must hold on a dense world where
+// a quarter of the population is revoked, so level 1 spans many ribbon
+// buckets, and level 1 must stay succinct — within 1.25x of the 7 bits
+// per key its fingerprints need (a Bloom filter at the same false-
+// positive rate needs 1.44x).
 func TestRibbonBuildExactness(t *testing.T) {
-	w := newSynthWorld(1, 8, 30000, 700)
-	rib, err := Build(w.revoked(), w.visit, w.parents, BuildConfig{
-		Epoch: 1, BuiltAt: t0, LevelKind: KindRibbon,
-	})
+	w := newSynthWorld(9, 2, 12000, 3000)
+	f, err := Build(w.revoked(), w.visit, w.parents, BuildConfig{Epoch: 1, BuiltAt: t0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rib.NumLevels() < 2 {
-		t.Fatalf("NumLevels = %d; population did not exercise the cascade", rib.NumLevels())
+	if f.NumLevels() < 2 {
+		t.Fatalf("NumLevels = %d; population did not exercise the cascade", f.NumLevels())
 	}
-	if rib.RibbonLevels() == 0 {
-		t.Fatal("ribbon build produced no ribbon level")
+	lvl1 := &f.levels[0]
+	if lvl1.kind != kindRibbon || lvl1.rib.NumBuckets() < 2 {
+		t.Fatalf("level 1 is kind %d with %d buckets; want a multi-bucket ribbon", lvl1.kind, lvl1.rib.NumBuckets())
+	}
+	if got, limit := lvl1.rib.EncodedLen()+len(lvl1.side), int(1.25*float64(w.nRev*level1RBits)/8); got > limit {
+		t.Errorf("level 1 is %d B over %d keys, above the %d B succinctness bound", got, w.nRev, limit)
 	}
 	for i, k := range w.keys {
 		want := i < w.nRev
-		if got := rib.Revoked(k); got != want {
+		if got := f.Revoked(k); got != want {
 			t.Fatalf("key %d: Revoked = %v, want %v", i, got, want)
 		}
 	}
-	bloom, err := Build(w.revoked(), w.visit, w.parents, BuildConfig{Epoch: 1, BuiltAt: t0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r, b := rib.SizeBytes(), bloom.SizeBytes(); float64(r) > 0.70*float64(b) {
-		t.Fatalf("ribbon snapshot %d B not ≤ 0.70x of Bloom %d B", r, b)
-	}
 }
 
-// TestRibbonEncodeDecodeRoundTrip pins the CASC v2 wire format: version
-// byte 2, byte-identical re-encode, verdicts preserved across the trip.
+// TestRibbonEncodeDecodeRoundTrip pins the level-1 side list on the
+// wire: a publisher snapshot carrying stash entries (with the zero
+// padding out to the quantized capacity) decodes, keeps its verdicts and
+// re-encodes byte-identically.
 func TestRibbonEncodeDecodeRoundTrip(t *testing.T) {
-	w := newSynthWorld(2, 4, 8000, 300)
-	f, err := Build(w.revoked(), w.visit, w.parents, BuildConfig{
-		Epoch: 7, BuiltAt: t0, MaxAge: 48 * time.Hour, LevelKind: KindRibbon,
-	})
+	w := newSynthWorld(2, 4, 8000, 0)
+	pub := NewPublisher(PublishConfig{Parents: w.parents, VisitKnown: w.visit, MaxAge: 48 * time.Hour})
+	if _, _, err := pub.Advance(t0, w.keys[:300], nil); err != nil {
+		t.Fatal(err)
+	}
+	enc, _, err := pub.Advance(t0.AddDate(0, 0, 1), w.keys[300:317], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := f.Encode()
-	if enc[4] != formatVersion2 {
-		t.Fatalf("ribbon snapshot encoded as version %d", enc[4])
-	}
-	if len(enc) != f.SizeBytes() {
-		t.Errorf("SizeBytes = %d, encoded %d", f.SizeBytes(), len(enc))
+	if pub.StashLen() != 17 {
+		t.Fatalf("stash holds %d keys, want 17", pub.StashLen())
 	}
 	g, err := Decode(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Epoch() != 7 || !g.BuiltAt().Equal(t0) || g.NumRevoked() != 300 ||
-		g.NumLevels() != f.NumLevels() || g.RibbonLevels() != f.RibbonLevels() {
-		t.Fatalf("decoded header drift: %+v", g)
+	if n := len(g.levels[0].side) / 4; n < 17 || sideCapEntries(n, 0) == n {
+		t.Fatalf("level-1 side list has %d entries (cap %d); want a padded stash", n, sideCapEntries(n, 0))
+	}
+	if len(enc) != g.SizeBytes() {
+		t.Errorf("SizeBytes = %d, encoded %d", g.SizeBytes(), len(enc))
 	}
 	for i, k := range w.keys {
-		if g.Revoked(k) != (i < w.nRev) {
+		if g.Revoked(k) != (i < 317) {
 			t.Fatalf("key %d verdict drift after round trip", i)
 		}
 	}
@@ -76,11 +76,11 @@ func TestRibbonEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRibbonChainRoundTrip runs the publisher in ribbon mode through
-// daily churn (including removals and at least one stash-triggered
-// re-freeze at 40 adds/day over 8 days) and proves the delta chain and
-// its compaction reconstruct the exact snapshots — the same contract as
-// the Bloom chain, through the same CASD format.
+// TestRibbonChainRoundTrip runs the publisher through daily churn that
+// crosses at least one stash-triggered re-freeze (40 adds/day over 8
+// days) and proves that every delta ships empty key lists and that the
+// chain and its compaction reconstruct the exact snapshots across the
+// re-freeze.
 func TestRibbonChainRoundTrip(t *testing.T) {
 	for _, removals := range []bool{false, true} {
 		name := "adds-only"
@@ -88,15 +88,15 @@ func TestRibbonChainRoundTrip(t *testing.T) {
 			name = "with-removals"
 		}
 		t.Run(name, func(t *testing.T) {
-			_, snaps, deltas, _ := runChain(t, 8, 2048, removals, KindRibbon)
+			_, snaps, deltas, _ := runChain(t, 8, removals)
+			refroze := false
 			cur := snaps[0]
 			for i, d := range deltas {
-				info, err := InspectDelta(d)
-				if err != nil {
-					t.Fatal(err)
+				if d[deltaHeaderSize] != 0 || d[deltaHeaderSize+1] != 0 {
+					t.Fatalf("delta %d lists keys", i)
 				}
-				if info.Adds != 0 {
-					t.Fatalf("delta %d ships %d add keys; ribbon chains carry churn in the patch", i, info.Adds)
+				if len(d) > len(snaps[i+1])/2 {
+					refroze = true
 				}
 				next, err := Apply(cur, d)
 				if err != nil {
@@ -106,6 +106,9 @@ func TestRibbonChainRoundTrip(t *testing.T) {
 					t.Fatalf("delta %d: reconstruction not byte-identical", i)
 				}
 				cur = next
+			}
+			if !refroze {
+				t.Fatal("no near-full-size re-freeze delta in the chain")
 			}
 			merged, err := Compact(snaps[0], deltas)
 			if err != nil {
@@ -127,7 +130,7 @@ func TestRibbonChainRoundTrip(t *testing.T) {
 // outgrows its budget the publisher re-freezes and the stash resets.
 func TestRibbonStashAndRefreeze(t *testing.T) {
 	w := newSynthWorld(8, 2, 9000, 0)
-	pub := NewPublisher(PublishConfig{Parents: w.parents, VisitKnown: w.visit, LevelKind: KindRibbon})
+	pub := NewPublisher(PublishConfig{Parents: w.parents, VisitKnown: w.visit})
 	sawStash, sawRefreeze := false, false
 	prevStash := 0
 	for day := 0; day < 10; day++ {
@@ -160,17 +163,26 @@ func TestRibbonStashAndRefreeze(t *testing.T) {
 	}
 }
 
-// TestRibbonRemovalFlipsVerdict mirrors the Bloom removal semantics: the
-// key's level-1 claim stays (solution and stash untouched) and the
-// rebuilt level 2 whitelists it.
+// TestRibbonRemovalFlipsVerdict: removing a key from the frozen solution
+// and one from the stash flips both to Good without touching level 1 —
+// its bytes (solution, side list, padding) stay identical and the
+// rebuilt level 2 whitelists the removed keys.
 func TestRibbonRemovalFlipsVerdict(t *testing.T) {
 	w := newSynthWorld(7, 2, 4000, 0)
-	pub := NewPublisher(PublishConfig{Parents: w.parents, VisitKnown: w.visit, LevelKind: KindRibbon})
-	victim := w.keys[0]
-	if _, _, err := pub.Advance(t0, [][]byte{victim, w.keys[1]}, nil); err != nil {
+	pub := NewPublisher(PublishConfig{Parents: w.parents, VisitKnown: w.visit})
+	frozen, stashed := w.keys[0], w.keys[2]
+	if _, _, err := pub.Advance(t0, [][]byte{frozen, w.keys[1]}, nil); err != nil {
 		t.Fatal(err)
 	}
-	s2, _, err := pub.Advance(t0.AddDate(0, 0, 1), nil, [][]byte{victim})
+	s1, _, err := pub.Advance(t0.AddDate(0, 0, 1), [][]byte{stashed}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, _, err := pub.Advance(t0.AddDate(0, 0, 2), nil, [][]byte{frozen, stashed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f1, err := Decode(s1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,20 +190,110 @@ func TestRibbonRemovalFlipsVerdict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f2.Revoked(victim) {
+	if !f1.Revoked(frozen) || !f1.Revoked(stashed) {
+		t.Fatal("added keys not revoked")
+	}
+	if f2.Revoked(frozen) || f2.Revoked(stashed) {
 		t.Fatal("removed key still revoked")
 	}
 	if !f2.Revoked(w.keys[1]) {
 		t.Fatal("unrelated key lost")
 	}
+	if !bytes.Equal(f1.levels[0].rib.AppendEncode(nil), f2.levels[0].rib.AppendEncode(nil)) ||
+		!bytes.Equal(f1.levels[0].side, f2.levels[0].side) {
+		t.Fatal("removal rewrote level 1")
+	}
+	if !f2.levels[0].contains(0, frozen) || !f2.levels[0].contains(0, stashed) {
+		t.Fatal("removed keys lost their level-1 claim")
+	}
 }
 
-// TestV2DecodeRejects drives the v2-specific decode paths with
-// CRC-valid but structurally hostile inputs: unknown level kinds, a v2
-// file with no ribbon level (non-canonical), side lists on Bloom levels.
+// refenceSnap recomputes a snapshot's trailing CRC after a mutation.
+func refenceSnap(b []byte) []byte {
+	binary.LittleEndian.PutUint32(b[len(b)-4:], CRC(b[:len(b)-4]))
+	return b
+}
+
+// snapHeader starts a hand-built snapshot: magic, the given version, a
+// fixed header with no parents, and nLevels levels to follow.
+func snapHeader(version byte, nLevels uint32) []byte {
+	b := make([]byte, 0, 128)
+	b = append(b, snapMagic...)
+	b = append(b, version)
+	b = binary.LittleEndian.AppendUint32(b, 1) // epoch
+	b = binary.LittleEndian.AppendUint64(b, uint64(t0.Unix()))
+	b = binary.LittleEndian.AppendUint64(b, uint64(t0.Unix()))
+	b = binary.LittleEndian.AppendUint32(b, 0) // maxAge
+	b = binary.LittleEndian.AppendUint32(b, 0) // nRevoked
+	b = binary.LittleEndian.AppendUint32(b, 0) // nParents
+	return binary.LittleEndian.AppendUint32(b, nLevels)
+}
+
+// appendBloomLevel appends a Bloom level body (k, mBits, bits) without
+// a kind byte.
+func appendBloomLevel(b []byte, k uint32, mBits uint64, bits int) []byte {
+	b = binary.LittleEndian.AppendUint32(b, k)
+	b = binary.LittleEndian.AppendUint64(b, mBits)
+	return append(b, make([]byte, bits)...)
+}
+
+// appendRibbonLevel1 appends a well-formed ribbon level 1 over one key:
+// kind byte, ribbon wire form, empty side list.
+func appendRibbonLevel1(t *testing.T, b []byte) []byte {
+	t.Helper()
+	rib, _, err := ribbon.Build(0, [][]byte{{1, 2, 3}}, level1RBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b = append(b, byte(kindRibbon))
+	b = rib.AppendEncode(b)
+	return binary.LittleEndian.AppendUint32(b, 0)
+}
+
+// TestDecodeRejectsV1 pins the retirement of the all-Bloom CASC v1
+// format: a well-formed v1 file (header, one Bloom level, valid CRC) is
+// refused by version.
+func TestDecodeRejectsV1(t *testing.T) {
+	b := appendBloomLevel(snapHeader(1, 1), 7, 64, 8)
+	b = binary.LittleEndian.AppendUint32(b, CRC(b))
+	if _, err := Decode(b); err == nil || !strings.Contains(err.Error(), "unsupported snapshot version 1") {
+		t.Fatalf("v1 snapshot: err = %v", err)
+	}
+	// A v1 base cannot anchor a delta either.
+	if _, err := MakeDelta(b, b); err == nil {
+		t.Fatal("MakeDelta accepted a v1 snapshot")
+	}
+}
+
+// TestDecodeRejectsBloomLevel1: level 1 is always a ribbon, so a v2
+// file whose level 1 is a well-formed Bloom level is refused — that
+// keeps every accepted file in its one canonical encoding.
+func TestDecodeRejectsBloomLevel1(t *testing.T) {
+	b := append(snapHeader(snapVersion, 1), byte(kindBloom))
+	b = appendBloomLevel(b, 1, 64, 8)
+	b = binary.LittleEndian.AppendUint32(b, 0) // empty side list
+	b = binary.LittleEndian.AppendUint32(b, CRC(b))
+	if _, err := Decode(b); err == nil || !strings.Contains(err.Error(), "level 1 is not a ribbon") {
+		t.Fatalf("Bloom level 1: err = %v", err)
+	}
+	// The same file with a ribbon level 1 in front of the Bloom level is
+	// a legal two-level cascade.
+	ok := appendRibbonLevel1(t, snapHeader(snapVersion, 2))
+	ok = append(ok, byte(kindBloom))
+	ok = appendBloomLevel(ok, 1, 64, 8)
+	ok = binary.LittleEndian.AppendUint32(ok, 0)
+	ok = binary.LittleEndian.AppendUint32(ok, CRC(ok))
+	if _, err := Decode(ok); err != nil {
+		t.Fatalf("ribbon level 1 + Bloom level 2 rejected: %v", err)
+	}
+}
+
+// TestV2DecodeRejects drives the level-kind decode paths with CRC-valid
+// but structurally hostile inputs: unknown level kinds, a ribbon level 1
+// relabelled as Bloom, and foreign version bytes.
 func TestV2DecodeRejects(t *testing.T) {
 	w := newSynthWorld(4, 2, 6000, 200)
-	f, err := Build(w.revoked(), w.visit, w.parents, BuildConfig{Epoch: 1, BuiltAt: t0, LevelKind: KindRibbon})
+	f, err := Build(w.revoked(), w.visit, w.parents, BuildConfig{Epoch: 1, BuiltAt: t0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,70 +301,33 @@ func TestV2DecodeRejects(t *testing.T) {
 	if _, err := Decode(enc); err != nil {
 		t.Fatalf("pristine v2 rejected: %v", err)
 	}
-	refence := func(b []byte) []byte {
-		binary.LittleEndian.PutUint32(b[len(b)-4:], CRC(b[:len(b)-4]))
-		return b
-	}
 	kindOff := headerSize + f.NumParents()*ParentSize // level 1's kind byte
 	hostile := map[string]func([]byte){
 		"unknown kind":    func(b []byte) { b[kindOff] = 7 },
 		"kind flip":       func(b []byte) { b[kindOff] = byte(kindBloom) }, // ribbon payload parsed as Bloom
 		"version 3":       func(b []byte) { b[4] = 3 },
-		"v1 with ribbons": func(b []byte) { b[4] = formatVersion },
+		"v1 with ribbons": func(b []byte) { b[4] = 1 },
 	}
 	for name, mutate := range hostile {
 		mut := append([]byte(nil), enc...)
 		mutate(mut)
-		if _, err := Decode(refence(mut)); err == nil {
+		if _, err := Decode(refenceSnap(mut)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-	}
-	// A v2 snapshot whose levels are all Bloom is non-canonical (it would
-	// re-encode as v1) and must be rejected.
-	bf, err := Build(w.revoked(), w.visit, w.parents, BuildConfig{Epoch: 1, BuiltAt: t0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := bf.Encode()
-	var v2 []byte
-	v2 = append(v2, v1[:headerSize]...)
-	v2[4] = formatVersion2
-	pos := headerSize + bf.NumParents()*ParentSize
-	v2 = append(v2, v1[headerSize:pos]...)
-	for i := 0; i < bf.NumLevels(); i++ {
-		mBits := binary.LittleEndian.Uint64(v1[pos+4:])
-		end := pos + levelHeaderSize + int((mBits+7)/8)
-		v2 = append(v2, byte(kindBloom))
-		v2 = append(v2, v1[pos:end]...)
-		v2 = binary.LittleEndian.AppendUint32(v2, 0) // empty inline side list
-		pos = end
-	}
-	v2 = binary.LittleEndian.AppendUint32(v2, CRC(v2))
-	if _, err := Decode(v2); err == nil || !strings.Contains(err.Error(), "no ribbon level") {
-		t.Errorf("v2 with no ribbon level: err = %v", err)
 	}
 }
 
 // TestDecodeBoundsInt64 is the 32-bit regression test for the decode
-// size bounds: a level header claiming mBits right at the cap
-// (maxLevelBytes·8 = 2^35) must fail as *truncated* — the byte-count
-// comparison happens in int64, so it cannot wrap to a small positive
-// int on 32-bit platforms and read out of bounds — while one past the
-// cap fails the explicit range check.
+// size bounds of a Bloom deep level: a level header claiming mBits right
+// at the cap (maxLevelBytes·8 = 2^35) must fail as *truncated* — the
+// byte-count comparison happens in int64, so it cannot wrap to a small
+// positive int on 32-bit platforms and read out of bounds — while one
+// past the cap fails the explicit range check.
 func TestDecodeBoundsInt64(t *testing.T) {
 	craft := func(mBits uint64) []byte {
-		b := make([]byte, 0, headerSize+levelHeaderSize+crcSize)
-		b = append(b, snapMagic...)
-		b = append(b, formatVersion)
-		b = binary.LittleEndian.AppendUint32(b, 1) // epoch
-		b = binary.LittleEndian.AppendUint64(b, uint64(t0.Unix()))
-		b = binary.LittleEndian.AppendUint64(b, uint64(t0.Unix()))
-		b = binary.LittleEndian.AppendUint32(b, 0) // maxAge
-		b = binary.LittleEndian.AppendUint32(b, 0) // nRevoked
-		b = binary.LittleEndian.AppendUint32(b, 0) // nParents
-		b = binary.LittleEndian.AppendUint32(b, 1) // nLevels
-		b = binary.LittleEndian.AppendUint32(b, 7) // k
-		b = binary.LittleEndian.AppendUint64(b, mBits)
+		b := appendRibbonLevel1(t, snapHeader(snapVersion, 2))
+		b = append(b, byte(kindBloom))
+		b = appendBloomLevel(b, 1, mBits, 0)
 		return binary.LittleEndian.AppendUint32(b, CRC(b))
 	}
 	atCap := uint64(maxLevelBytes) * 8

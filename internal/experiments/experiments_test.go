@@ -28,15 +28,37 @@ func testRunner(t *testing.T) *Runner {
 	return runner
 }
 
+var (
+	runsOnce    sync.Once
+	serialRun   []*Result
+	parallelRun []*Result
+	runsErr     error
+)
+
+// suiteRuns runs the full experiment suite twice over the shared world,
+// once per test binary: serially first, so Figure 3 samples fresh world
+// state, then with eight concurrent workers. The shape check reads the
+// serial run and the fan-out check compares the two.
+func suiteRuns(t *testing.T) (serial, parallel []*Result) {
+	t.Helper()
+	shared := testRunner(t).World
+	runsOnce.Do(func() {
+		serialRun, runsErr = (&Runner{World: shared, Scale: shared.Cfg.Scale, Concurrency: 1}).All()
+		if runsErr == nil {
+			parallelRun, runsErr = (&Runner{World: shared, Scale: shared.Cfg.Scale, Concurrency: 8}).All()
+		}
+	})
+	if runsErr != nil {
+		t.Fatal(runsErr)
+	}
+	return serialRun, parallelRun
+}
+
 // TestEveryExperimentMatchesPaperShape is the master fidelity check: every
 // regenerated table and figure must reproduce the paper's qualitative
 // shape (who wins, rough factors, crossovers).
 func TestEveryExperimentMatchesPaperShape(t *testing.T) {
-	r := testRunner(t)
-	results, err := r.All()
-	if err != nil {
-		t.Fatal(err)
-	}
+	results, _ := suiteRuns(t)
 	if len(results) != 24 {
 		t.Fatalf("experiments = %d, want 24", len(results))
 	}
@@ -127,18 +149,7 @@ func stripLatency(r *Result) *Result {
 // results, in the same paper order, as a fully serial run over the same
 // world.
 func TestAllParallelMatchesSerial(t *testing.T) {
-	shared := testRunner(t).World
-
-	serialRunner := &Runner{World: shared, Concurrency: 1}
-	serial, err := serialRunner.All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallelRunner := &Runner{World: shared, Concurrency: 8}
-	parallel, err := parallelRunner.All()
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial, parallel := suiteRuns(t)
 	if len(serial) != len(parallel) {
 		t.Fatalf("serial ran %d experiments, parallel %d", len(serial), len(parallel))
 	}

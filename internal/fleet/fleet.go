@@ -119,11 +119,8 @@ type World struct {
 	// Cascade is the CRLite-style filter cascade over the whole leaf
 	// population: exact offline verdicts for every leaf, revoked or not.
 	Cascade *cascade.Filter
-	// CascadeRibbon is the same cascade with succinct ribbon levels —
-	// identical verdicts for every leaf at a fraction of the bytes.
-	CascadeRibbon *cascade.Filter
-	// Shards is the sharded install of CascadeRibbon (one issuer, one
-	// shard) for exercising the per-issuer client path.
+	// Shards is the sharded install of Cascade (one issuer, one shard)
+	// for exercising the per-issuer client path.
 	Shards *cascade.ShardSet
 
 	crlOnlyChain int       // index of a CRL-only leaf, for the stampede
@@ -221,15 +218,7 @@ func New(cfg Config) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.CascadeRibbon, err = cascade.Build(revokedKeys, visit, []cascade.Parent{cascade.Parent(parent)}, cascade.BuildConfig{
-		Epoch:     1,
-		BuiltAt:   clock.Now(),
-		LevelKind: cascade.KindRibbon,
-	})
-	if err != nil {
-		return nil, err
-	}
-	w.Shards, err = cascade.NewShardSet([]*cascade.Filter{w.CascadeRibbon})
+	w.Shards, err = cascade.NewShardSet([]*cascade.Filter{w.Cascade})
 	if err != nil {
 		return nil, err
 	}
@@ -266,9 +255,6 @@ type RunOptions struct {
 	// Cascade installs the world's filter cascade as the authoritative
 	// offline fast path (consulted before CRLSet/Bloom).
 	Cascade bool
-	// CascadeRibbon installs the ribbon-level cascade instead — the same
-	// exact verdicts from a succinct snapshot.
-	CascadeRibbon bool
 	// CascadeShards installs the world's sharded cascade set: verdicts
 	// route through the per-issuer shard path.
 	CascadeShards bool
@@ -405,9 +391,6 @@ func (w *World) Run(opt RunOptions) (Result, error) {
 	}
 	if opt.Cascade {
 		client.Cascade = w.Cascade
-	}
-	if opt.CascadeRibbon {
-		client.Cascade = w.CascadeRibbon
 	}
 	if opt.CascadeShards {
 		client.CascadeShards = w.Shards

@@ -79,9 +79,14 @@ type ShardedSeries struct {
 const manifestSeed = 0x5eed_ca5c_ade0_0001
 
 // PublishSharded runs one publisher per issuer over the shard feeds and
-// signs a daily manifest over all of them. The per-shard chains use the
-// given level kind.
+// signs a daily manifest over all of them. kind names the level family
+// and must be cascade.KindRibbon, the only one; the parameter stays for
+// callers that name the family (the perfbench module passes
+// cascade.KindRibbon).
 func (f *CascadeFeed) PublishSharded(kind cascade.LevelKind) (*ShardedSeries, error) {
+	if kind != cascade.KindRibbon {
+		return nil, fmt.Errorf("cascade feed: unknown level kind %d", kind)
+	}
 	feeds := f.Shard()
 	priv := cascade.ManifestKeyFromSeed(manifestSeed)
 	out := &ShardedSeries{
@@ -104,7 +109,6 @@ func (f *CascadeFeed) PublishSharded(kind cascade.LevelKind) (*ShardedSeries, er
 				Parents:    sf.Parents,
 				VisitKnown: sf.VisitKnown,
 				MaxAge:     48 * time.Hour,
-				LevelKind:  kind,
 			}),
 			series: &CascadeSeries{
 				Days:          f.Days,
