@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race race-hot bench-smoke bench bench-all bench-crl bench-crl-check bench-fleet bench-fleet-check bench-revdb bench-revdb-check bench-world bench-world-check bench-cascade bench-cascade-check bench-scenario bench-scenario-check bench-selfcheck chaos fuzz-short
+.PHONY: check vet build test race race-hot bench-smoke bench bench-all bench-check bench-crl bench-crl-check bench-fleet bench-fleet-check bench-revdb bench-revdb-check bench-world bench-world-check bench-cascade bench-cascade-check bench-scenario bench-scenario-check bench-selfcheck chaos fuzz-short
 
 # check is the full pre-merge gate: static checks, race-enabled tests on
 # the concurrency-hot packages and then the whole tree (including the
@@ -9,7 +9,7 @@ GO ?= go
 # DER-facing parsers, and a one-iteration smoke of the end-to-end
 # world-build benchmark, the bench gates, and the benchmark module's own
 # self-checks.
-check: vet build race-hot race chaos fuzz-short bench-smoke bench-crl-check bench-fleet-check bench-revdb-check bench-world-check bench-cascade-check bench-scenario-check bench-selfcheck
+check: vet build race-hot race chaos fuzz-short bench-smoke bench-check bench-selfcheck
 
 vet:
 	$(GO) vet ./...
@@ -20,6 +20,10 @@ build:
 test:
 	$(GO) test ./...
 
+# race runs the whole tree under the race detector. Wall-clock ceilings
+# (the histogram record path's 25 ns/op) measure the instrumentation
+# there, so they apply only without -race; bench-scenario-check
+# enforces that one on a live measurement.
 race:
 	$(GO) test -race ./...
 
@@ -63,18 +67,23 @@ bench:
 bench-all:
 	$(GO) test -run='^$$' -bench=. -benchmem ./...
 
+# bench-check runs the six record gates: the four cmd/bench suites
+# (crl, revdb, world, cascade), the client fleet and the scenario SLOs,
+# each a quick re-run checked against its committed BENCH_pr*.json.
+bench-check: bench-crl-check bench-fleet-check bench-revdb-check bench-world-check bench-cascade-check bench-scenario-check
+
 # bench-crl regenerates BENCH_pr4.json: the CRL data-path record
 # (streaming parse, incremental re-sign, interned ingest) at full
 # Heartbleed-scale fixtures.
 bench-crl:
-	$(GO) run ./cmd/benchcrl -o BENCH_pr4.json
+	$(GO) run ./cmd/bench -suite crl -o BENCH_pr4.json
 
-# bench-crl-check is the benchstat-style regression gate in `make check`:
+# bench-crl-check is the benchstat-style regression gate in bench-check:
 # it re-runs the CRL benchmarks on small fixtures (allocs/op for these
 # paths is fixture-size independent) and fails if allocs/op regress
 # against the numbers recorded in BENCH_pr4.json.
 bench-crl-check:
-	$(GO) run ./cmd/benchcrl -check BENCH_pr4.json -quick
+	$(GO) run ./cmd/bench -suite crl -check BENCH_pr4.json -quick
 
 # bench-fleet regenerates BENCH_pr5.json: the client-side fleet record
 # (seed single-mutex cache vs sharded singleflight cache vs CRLSet/Bloom
@@ -93,34 +102,34 @@ bench-fleet-check:
 # record (mem-vs-disk ingest throughput, zero-alloc mmap lookups,
 # 1M-entry cold-start recovery, and the 10M-entry RSS budget run).
 bench-revdb:
-	$(GO) run ./cmd/benchrevdb -o BENCH_pr6.json
+	$(GO) run ./cmd/bench -suite revdb -o BENCH_pr6.json
 
-# bench-revdb-check is the regression gate in `make check`: it re-runs
+# bench-revdb-check is the regression gate in bench-check: it re-runs
 # the quick store benchmarks (ingest ratio, zero-alloc warm lookup,
 # recovery digest) and validates the full-run numbers recorded in
 # BENCH_pr6.json, including the RSS budget split.
 bench-revdb-check:
-	$(GO) run ./cmd/benchrevdb -check BENCH_pr6.json -quick
+	$(GO) run ./cmd/bench -suite revdb -check BENCH_pr6.json -quick
 
 # bench-world regenerates BENCH_pr7.json: the world-engine record
 # (streaming-vs-in-memory analyze digest parity, 1M-cert build
 # throughput ratio, and the paper-scale 38.5M-cert RSS budget run).
 bench-world:
-	$(GO) run ./cmd/benchworld -o BENCH_pr7.json
+	$(GO) run ./cmd/bench -suite world -o BENCH_pr7.json
 
-# bench-world-check is the regression gate in `make check`: it re-runs
+# bench-world-check is the regression gate in bench-check: it re-runs
 # the digest-parity and build-ratio phases on small fixtures and
 # validates the full-run numbers recorded in BENCH_pr7.json, including
 # the 38.5M RSS budget split.
 bench-world-check:
-	$(GO) run ./cmd/benchworld -check BENCH_pr7.json -quick
+	$(GO) run ./cmd/bench -suite world -check BENCH_pr7.json -quick
 
 # bench-cascade regenerates BENCH_pr9.json: the filter-cascade record
 # (snapshot + daily-delta bytes/day/client vs CRLSet vs raw CRLs, the
 # per-issuer sharded chain, the zero-FP/zero-FN exactness audits, and the
 # fully-offline fleet phases for the monolithic and sharded installs).
 bench-cascade:
-	$(GO) run ./cmd/benchcascade -o BENCH_pr9.json
+	$(GO) run ./cmd/bench -suite cascade -o BENCH_pr9.json
 
 # bench-scenario regenerates BENCH_pr10.json: the scenario-engine tail-
 # latency record of the headline Heartbleed preset (one million simulated
@@ -129,7 +138,7 @@ bench-cascade:
 bench-scenario:
 	$(GO) run ./cmd/scenario -preset heartbleed-1m -o BENCH_pr10.json
 
-# bench-scenario-check is the SLO gate in `make check`: it replays the
+# bench-scenario-check is the SLO gate in bench-check: it replays the
 # scenario at the quick population (identical virtual-time schedule, so
 # convergence hours must match the record exactly) and fails if the warm
 # p99 or brownout p999 exceed 3x the recorded baseline, any stale-Good
@@ -138,7 +147,7 @@ bench-scenario:
 bench-scenario-check:
 	$(GO) run ./cmd/scenario -check BENCH_pr10.json -quick
 
-# bench-cascade-check is the regression gate in `make check`: it re-runs
+# bench-cascade-check is the regression gate in bench-check: it re-runs
 # the publisher and offline-fleet phases on a small world and fails if
 # any gate (bandwidth ratios, exact coverage, offline allocs/verdict,
 # zero network, final snapshot and ns/verdict under their absolute
@@ -146,7 +155,7 @@ bench-scenario-check:
 # matching the pinned one) breaks or allocs regress against
 # BENCH_pr9.json.
 bench-cascade-check:
-	$(GO) run ./cmd/benchcascade -check BENCH_pr9.json -quick
+	$(GO) run ./cmd/bench -suite cascade -check BENCH_pr9.json -quick
 
 # bench-selfcheck runs the repository benchmark's self-checks (every
 # workload at a tiny size: seed-derived facts repeat, oracles hold, the

@@ -18,8 +18,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -27,10 +25,10 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/benchkit"
 	"repro/internal/browser"
 	"repro/internal/fleet"
 	"repro/internal/hist"
-	"repro/internal/profiling"
 	"repro/internal/scenario"
 )
 
@@ -103,15 +101,6 @@ type StampedeReport struct {
 	NetRequests int64 `json:"net_requests"`
 }
 
-// DeterminismReport shows fleet digests across worker counts.
-type DeterminismReport struct {
-	WorkersA int    `json:"workers_a"`
-	WorkersB int    `json:"workers_b"`
-	DigestA  string `json:"digest_a"`
-	DigestB  string `json:"digest_b"`
-	Match    bool   `json:"match"`
-}
-
 // Gates records the acceptance checks and the numbers that decided them.
 type Gates struct {
 	// AllocReduction is legacy-warm allocs/verdict over sharded-warm
@@ -130,14 +119,14 @@ type Gates struct {
 
 // Report is the full JSON document.
 type Report struct {
-	Schema      string            `json:"schema"`
-	RecordedCPU string            `json:"recorded_cpu"`
-	GOMAXPROCS  int               `json:"gomaxprocs"`
-	Config      Config            `json:"config"`
-	Phases      []Phase           `json:"phases"`
-	Stampede    StampedeReport    `json:"stampede"`
-	Determinism DeterminismReport `json:"determinism"`
-	Gates       Gates             `json:"gates"`
+	Schema      string               `json:"schema"`
+	RecordedCPU string               `json:"recorded_cpu"`
+	GOMAXPROCS  int                  `json:"gomaxprocs"`
+	Config      Config               `json:"config"`
+	Phases      []Phase              `json:"phases"`
+	Stampede    StampedeReport       `json:"stampede"`
+	Determinism benchkit.Determinism `json:"determinism"`
+	Gates       Gates                `json:"gates"`
 }
 
 func (r *Report) phase(name string) *Phase {
@@ -202,7 +191,7 @@ func runFleet(cfg Config, stdout io.Writer) (*Report, error) {
 	}
 	rep := &Report{
 		Schema:      "bench_pr5/v1",
-		RecordedCPU: cpuModel(),
+		RecordedCPU: benchkit.CPUModel(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Config:      cfg,
 	}
@@ -321,7 +310,7 @@ func runFleet(cfg Config, stdout io.Writer) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep.Determinism = DeterminismReport{
+	rep.Determinism = benchkit.Determinism{
 		WorkersA: 1,
 		WorkersB: detWorkers,
 		DigestA:  fmt.Sprintf("%016x", resA.Digest),
@@ -414,21 +403,6 @@ func checkAgainst(recorded, current *Report) error {
 	return nil
 }
 
-func cpuModel() string {
-	data, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		return runtime.GOARCH
-	}
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		if bytes.HasPrefix(line, []byte("model name")) {
-			if i := bytes.IndexByte(line, ':'); i >= 0 {
-				return string(bytes.TrimSpace(line[i+1:]))
-			}
-		}
-	}
-	return runtime.GOARCH
-}
-
 // run is main minus process concerns.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fleetload", flag.ContinueOnError)
@@ -444,29 +418,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cacheMax := fs.Int("cache-max", 0, "cache entry cap (0 = unbounded)")
 	stampede := fs.Int("stampede", 128, "clients in the singleflight stampede phase")
 	seed := fs.Int64("seed", 1, "world seed")
-	out := fs.String("o", "", "write the JSON report to this file")
-	check := fs.String("check", "", "re-run and fail if gates or recorded numbers regress")
-	quick := fs.Bool("quick", false, "small population (alloc gates stay comparable; ns/op does not)")
-	verbose := fs.Bool("v", false, "print the resulting JSON to stdout")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	var fl benchkit.Flags
+	fl.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
-	if *out != "" && *check != "" {
-		fmt.Fprintln(stderr, "fleetload: -o and -check are mutually exclusive")
-		return 2
-	}
-	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintln(stderr, "fleetload:", err)
-		return 1
-	}
-	defer func() {
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintln(stderr, "fleetload:", err)
-		}
-	}()
 
 	cfg := Config{
 		Browsers:        *browsers,
@@ -481,64 +437,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		StampedeClients: *stampede,
 		Seed:            *seed,
 	}
-	if *quick {
+	if fl.Quick {
 		cfg.Browsers, cfg.Certs, cfg.EvalsPerBrowser = 32, 96, 16
 		cfg.StampedeClients = 48
 	}
-
-	rep, err := runFleet(cfg, stdout)
-	if err != nil {
-		fmt.Fprintln(stderr, "fleetload:", err)
-		return 1
-	}
-
-	if *check != "" {
-		data, err := os.ReadFile(*check)
-		if err != nil {
-			fmt.Fprintln(stderr, "fleetload:", err)
-			return 1
-		}
-		var recorded Report
-		if err := json.Unmarshal(data, &recorded); err != nil {
-			fmt.Fprintf(stderr, "fleetload: %s: %v\n", *check, err)
-			return 1
-		}
-		if err := checkAgainst(&recorded, rep); err != nil {
-			fmt.Fprintln(stderr, "fleetload:", err)
-			return 1
-		}
-		fmt.Fprintln(stdout, "fleetload: all gates pass")
-		return 0
-	}
-
-	if err := checkGates(rep); err != nil {
-		fmt.Fprintln(stderr, "fleetload:", err)
-		return 1
-	}
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(stderr, "fleetload:", err)
-		return 1
-	}
-	data = append(data, '\n')
-	if *out != "" {
-		if *quick {
-			fmt.Fprintln(stderr, "fleetload: refusing to record quick-population numbers with -o")
-			return 2
-		}
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fmt.Fprintln(stderr, "fleetload:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", *out)
-		if *verbose {
-			stdout.Write(data)
-		}
-		return 0
-	}
-	stdout.Write(data)
-	return 0
+	return benchkit.Suite[Report]{
+		Name:  "fleetload",
+		Run:   func(_ bool, w io.Writer) (*Report, error) { return runFleet(cfg, w) },
+		Gates: checkGates,
+		Check: checkAgainst,
+	}.Main(fl, stdout, stderr)
 }
 
 func main() {

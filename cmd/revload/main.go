@@ -8,12 +8,14 @@
 //
 //	revload [-serials 512] [-requests 4096] [-get 0.9] [-zipf-s 1.3]
 //	        [-revoked 0.08] [-seed 1] [-benchtime 1s] [-o BENCH_pr2.json]
+//
+// After its summary it writes the JSON report to -o, or prints it
+// without -o (internal/benchkit's record rules).
 package main
 
 import (
 	"bytes"
 	"encoding/base64"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -26,11 +28,11 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/benchkit"
 	"repro/internal/ca"
 	"repro/internal/crl"
 	"repro/internal/hist"
 	"repro/internal/ocsp"
-	"repro/internal/profiling"
 	"repro/internal/scenario"
 	"repro/internal/simtime"
 )
@@ -57,9 +59,6 @@ type Config struct {
 	Seed int64
 	// BenchTime is the per-phase measurement budget.
 	BenchTime time.Duration
-	// Out, when non-empty, receives the JSON report (stdout gets a
-	// human summary either way).
-	Out string
 }
 
 // PhaseResult is one measured serving configuration.
@@ -273,7 +272,7 @@ func instrument(p *scenario.Phase, handler http.Handler, seq []loadRequest) {
 // assembles the report.
 func runLoad(cfg Config) (*Report, error) {
 	if cfg.Serials < 2 || cfg.Requests < 1 {
-		return nil, fmt.Errorf("revload: need at least 2 serials and 1 request")
+		return nil, fmt.Errorf("need at least 2 serials and 1 request")
 	}
 	authority, seq, err := buildSequence(cfg)
 	if err != nil {
@@ -281,7 +280,7 @@ func runLoad(cfg Config) (*Report, error) {
 	}
 
 	rep := &Report{}
-	rep.Host.CPU = cpuModel()
+	rep.Host.CPU = benchkit.CPUModel()
 	rep.Host.GOMAXPROCS = runtime.GOMAXPROCS(0)
 	rep.Config.Serials = cfg.Serials
 	rep.Config.Requests = cfg.Requests
@@ -344,21 +343,6 @@ func runLoad(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-func cpuModel() string {
-	data, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		return runtime.GOARCH
-	}
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		if bytes.HasPrefix(line, []byte("model name")) {
-			if i := bytes.IndexByte(line, ':'); i >= 0 {
-				return string(bytes.TrimSpace(line[i+1:]))
-			}
-		}
-	}
-	return runtime.GOARCH
-}
-
 // run is main minus process concerns.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("revload", flag.ContinueOnError)
@@ -370,22 +354,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	revoked := fs.Float64("revoked", 0.08, "fraction of serials revoked before the run")
 	seed := fs.Int64("seed", 1, "load-generation seed")
 	benchTime := fs.Duration("benchtime", time.Second, "per-phase measurement budget (informational)")
-	out := fs.String("o", "", "write the JSON report to this file")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the load run to this file")
-	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	var fl benchkit.Flags
+	fs.StringVar(&fl.Out, "o", "", "write the JSON report to this file")
+	fs.StringVar(&fl.CPUProfile, "cpuprofile", "", "write a CPU profile of the load run to this file")
+	fs.StringVar(&fl.MemProfile, "memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
-	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintln(stderr, "revload:", err)
-		return 1
-	}
-	defer func() {
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintln(stderr, "revload:", err)
-		}
-	}()
 	cfg := Config{
 		Serials:         *serials,
 		Requests:        *requests,
@@ -394,34 +369,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		RevokedFraction: *revoked,
 		Seed:            *seed,
 		BenchTime:       *benchTime,
-		Out:             *out,
 	}
-	rep, err := runLoad(cfg)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "cold: %8.0f resp/s  %6d ns/op  %4d allocs/op\n",
-		rep.Cold.ResponsesPerSec, rep.Cold.NsPerOp, rep.Cold.AllocsPerOp)
-	fmt.Fprintf(stdout, "warm: %8.0f resp/s  %6d ns/op  %4d allocs/op\n",
-		rep.Warm.ResponsesPerSec, rep.Warm.NsPerOp, rep.Warm.AllocsPerOp)
-	fmt.Fprintf(stdout, "speedup: %.1fx ns/op, %.1fx allocs/op; warm hit ratio %.3f (%d signatures for %d requests)\n",
-		rep.SpeedupNs, rep.SpeedupAllocs, rep.CacheStats.HitRatio, rep.CacheStats.Signs, cfg.Requests)
-	fmt.Fprintf(stdout, "latency: cold p50 %v p99 %v p999 %v | warm p50 %v p99 %v p999 %v\n",
-		time.Duration(rep.Cold.Latency.P50Ns), time.Duration(rep.Cold.Latency.P99Ns), time.Duration(rep.Cold.Latency.P999Ns),
-		time.Duration(rep.Warm.Latency.P50Ns), time.Duration(rep.Warm.Latency.P99Ns), time.Duration(rep.Warm.Latency.P999Ns))
-	if cfg.Out != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(cfg.Out, data, 0o644); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		fmt.Fprintln(stdout, "report written to", cfg.Out)
-	}
-	return 0
+	return benchkit.Suite[Report]{
+		Name: "revload",
+		Run: func(_ bool, w io.Writer) (*Report, error) {
+			rep, err := runLoad(cfg)
+			if err != nil {
+				return nil, err
+			}
+			fmt.Fprintf(w, "cold: %8.0f resp/s  %6d ns/op  %4d allocs/op\n",
+				rep.Cold.ResponsesPerSec, rep.Cold.NsPerOp, rep.Cold.AllocsPerOp)
+			fmt.Fprintf(w, "warm: %8.0f resp/s  %6d ns/op  %4d allocs/op\n",
+				rep.Warm.ResponsesPerSec, rep.Warm.NsPerOp, rep.Warm.AllocsPerOp)
+			fmt.Fprintf(w, "speedup: %.1fx ns/op, %.1fx allocs/op; warm hit ratio %.3f (%d signatures for %d requests)\n",
+				rep.SpeedupNs, rep.SpeedupAllocs, rep.CacheStats.HitRatio, rep.CacheStats.Signs, cfg.Requests)
+			fmt.Fprintf(w, "latency: cold p50 %v p99 %v p999 %v | warm p50 %v p99 %v p999 %v\n",
+				time.Duration(rep.Cold.Latency.P50Ns), time.Duration(rep.Cold.Latency.P99Ns), time.Duration(rep.Cold.Latency.P999Ns),
+				time.Duration(rep.Warm.Latency.P50Ns), time.Duration(rep.Warm.Latency.P99Ns), time.Duration(rep.Warm.Latency.P999Ns))
+			return rep, nil
+		},
+	}.Main(fl, stdout, stderr)
 }

@@ -18,8 +18,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -28,8 +26,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/benchkit"
 	"repro/internal/hist"
-	"repro/internal/profiling"
 	"repro/internal/scenario"
 )
 
@@ -64,16 +62,6 @@ type HistBench struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// Determinism shows the scenario digest across worker counts on a small
-// fixed population.
-type Determinism struct {
-	WorkersA int    `json:"workers_a"`
-	WorkersB int    `json:"workers_b"`
-	DigestA  string `json:"digest_a"`
-	DigestB  string `json:"digest_b"`
-	Match    bool   `json:"match"`
-}
-
 // Report is the full JSON document recorded as BENCH_pr10.json.
 type Report struct {
 	Schema      string                     `json:"schema"`
@@ -82,11 +70,14 @@ type Report struct {
 	Preset      string                     `json:"preset"`
 	Result      *scenario.HeartbleedResult `json:"result"`
 	HistBench   HistBench                  `json:"hist_bench"`
-	Determinism Determinism                `json:"determinism"`
+	Determinism benchkit.Determinism       `json:"determinism"`
 }
 
 // SLO floors and ceilings.
 const (
+	// maxHistNsPerOp is enforced only in builds without the race
+	// detector, whose instrumentation roughly triples the record path's
+	// cost; the zero-alloc gate holds in every build.
 	maxHistNsPerOp = 25.0
 	// latencySlack is the multiplier allowed over the recorded wall
 	// quantiles; wall time is host- and load-dependent, so the gate
@@ -114,7 +105,7 @@ func benchHist() HistBench {
 
 // runDeterminism replays a small fixed population at one worker and at
 // many and compares scenario digests.
-func runDeterminism(seed int64) (Determinism, error) {
+func runDeterminism(seed int64) (benchkit.Determinism, error) {
 	small := func(workers int) (string, error) {
 		res, err := scenario.Heartbleed(scenario.HeartbleedConfig{
 			Clients:         192,
@@ -136,13 +127,13 @@ func runDeterminism(seed int64) (Determinism, error) {
 	}
 	a, err := small(1)
 	if err != nil {
-		return Determinism{}, err
+		return benchkit.Determinism{}, err
 	}
 	b, err := small(workersB)
 	if err != nil {
-		return Determinism{}, err
+		return benchkit.Determinism{}, err
 	}
-	return Determinism{
+	return benchkit.Determinism{
 		WorkersA: 1, WorkersB: workersB,
 		DigestA: a, DigestB: b,
 		Match: a == b,
@@ -180,7 +171,7 @@ func buildReport(preset string, cfg scenario.HeartbleedConfig, stdout io.Writer)
 
 	return &Report{
 		Schema:      "bench_pr10/v1",
-		RecordedCPU: cpuModel(),
+		RecordedCPU: benchkit.CPUModel(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Preset:      preset,
 		Result:      res,
@@ -208,7 +199,7 @@ func checkGates(rep *Report) error {
 	if rep.HistBench.AllocsPerOp != 0 {
 		return fmt.Errorf("hist gate failed: record path allocates %d allocs/op", rep.HistBench.AllocsPerOp)
 	}
-	if rep.HistBench.NsPerOp > maxHistNsPerOp {
+	if !raceEnabled && rep.HistBench.NsPerOp > maxHistNsPerOp {
 		return fmt.Errorf("hist gate failed: record path %.1f ns/op > %.0f", rep.HistBench.NsPerOp, maxHistNsPerOp)
 	}
 	for _, name := range []string{"baseline-warm", "brownout"} {
@@ -259,21 +250,6 @@ func checkAgainst(recorded, current *Report) error {
 	return nil
 }
 
-func cpuModel() string {
-	data, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		return runtime.GOARCH
-	}
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		if bytes.HasPrefix(line, []byte("model name")) {
-			if i := bytes.IndexByte(line, ':'); i >= 0 {
-				return string(bytes.TrimSpace(line[i+1:]))
-			}
-		}
-	}
-	return runtime.GOARCH
-}
-
 // run is main minus process concerns.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("scenario", flag.ContinueOnError)
@@ -281,32 +257,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	preset := fs.String("preset", "heartbleed-quick", "scenario preset (heartbleed-1m, heartbleed-quick)")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "fleet worker goroutines")
 	seed := fs.Int64("seed", 1, "scenario seed")
-	out := fs.String("o", "", "write the JSON report to this file")
-	check := fs.String("check", "", "re-run and fail if SLO gates or recorded numbers regress")
-	quick := fs.Bool("quick", false, "force the heartbleed-quick preset (CI gate sizing)")
-	verbose := fs.Bool("v", false, "print the resulting JSON to stdout")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	var fl benchkit.Flags
+	fl.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
-	if *out != "" && *check != "" {
-		fmt.Fprintln(stderr, "scenario: -o and -check are mutually exclusive")
-		return 2
-	}
-	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintln(stderr, "scenario:", err)
-		return 1
-	}
-	defer func() {
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintln(stderr, "scenario:", err)
-		}
-	}()
-
 	name := *preset
-	if *quick {
+	if fl.Quick {
 		name = "heartbleed-quick"
 	}
 	cfg, err := presetConfig(name, *workers, *seed)
@@ -314,59 +271,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "scenario:", err)
 		return 2
 	}
-	rep, err := buildReport(name, cfg, stdout)
-	if err != nil {
-		fmt.Fprintln(stderr, "scenario:", err)
-		return 1
-	}
-
-	if *check != "" {
-		data, err := os.ReadFile(*check)
-		if err != nil {
-			fmt.Fprintln(stderr, "scenario:", err)
-			return 1
-		}
-		var recorded Report
-		if err := json.Unmarshal(data, &recorded); err != nil {
-			fmt.Fprintf(stderr, "scenario: %s: %v\n", *check, err)
-			return 1
-		}
-		if err := checkAgainst(&recorded, rep); err != nil {
-			fmt.Fprintln(stderr, "scenario:", err)
-			return 1
-		}
-		fmt.Fprintln(stdout, "scenario: all SLO gates pass")
-		return 0
-	}
-
-	if err := checkGates(rep); err != nil {
-		fmt.Fprintln(stderr, "scenario:", err)
-		return 1
-	}
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(stderr, "scenario:", err)
-		return 1
-	}
-	data = append(data, '\n')
-	if *out != "" {
-		if name != "heartbleed-1m" {
-			fmt.Fprintln(stderr, "scenario: refusing to record a non-headline preset with -o (use -preset heartbleed-1m)")
-			return 2
-		}
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fmt.Fprintln(stderr, "scenario:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", *out)
-		if *verbose {
-			stdout.Write(data)
-		}
-		return 0
-	}
-	stdout.Write(data)
-	return 0
+	// Only the headline preset is ever recorded: every other preset is a
+	// quick run to the driver, which -o refuses.
+	fl.Quick = name != "heartbleed-1m"
+	return benchkit.Suite[Report]{
+		Name:  "scenario",
+		Run:   func(_ bool, w io.Writer) (*Report, error) { return buildReport(name, cfg, w) },
+		Gates: checkGates,
+		Check: checkAgainst,
+	}.Main(fl, stdout, stderr)
 }
 
 func main() {

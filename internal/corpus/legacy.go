@@ -12,9 +12,9 @@ import (
 // engine: a map from record pointer to a History holding every Sighting
 // as live Go objects. It is retained as the differential oracle for the
 // streaming Corpus (their folds must agree exactly) and as the
-// in-memory baseline for cmd/benchworld. It cannot spill and its memory
-// footprint grows with total sightings, which is exactly the ceiling
-// the streaming engine removes.
+// in-memory baseline for `cmd/bench -suite world`. It cannot spill and
+// its memory footprint grows with total sightings, which is exactly the
+// ceiling the streaming engine removes.
 type Legacy struct {
 	mu        sync.RWMutex
 	histories map[*ca.Record]*History

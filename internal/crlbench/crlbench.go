@@ -1,8 +1,8 @@
 // Package crlbench holds the CRL data-path benchmark bodies shared by the
-// repo-wide `go test -bench` harness and cmd/benchcrl (which runs them
-// in-process to produce and check BENCH_pr4.json). One World is built per
-// process: a signing CA, a Heartbleed-scale raw CRL for the parse path,
-// and an entry set for the re-sign and ingest paths.
+// repo-wide `go test -bench` harness and `cmd/bench -suite crl` (which
+// runs them in-process to produce and check BENCH_pr4.json). One World
+// is built per process: a signing CA, a Heartbleed-scale raw CRL for the
+// parse path, and an entry set for the re-sign and ingest paths.
 package crlbench
 
 import (
@@ -181,15 +181,15 @@ func (w *World) BenchIngestResigned(b *testing.B) {
 	}
 }
 
-// Benchmarks returns the named benchmark bodies in a stable order.
-func (w *World) Benchmarks() []struct {
+// Benchmark is one named benchmark body.
+type Benchmark struct {
 	Name string
 	Fn   func(*testing.B)
-} {
-	return []struct {
-		Name string
-		Fn   func(*testing.B)
-	}{
+}
+
+// Benchmarks returns the named benchmark bodies in a stable order.
+func (w *World) Benchmarks() []Benchmark {
+	return []Benchmark{
 		{"CRLParseHeartbleedScale", w.BenchParse},
 		{"CRLVisitHeartbleedScale", w.BenchVisit},
 		{"CRLIncrementalResign", w.BenchIncrementalResign},

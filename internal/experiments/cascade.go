@@ -177,8 +177,8 @@ func (r *Runner) CascadeBandwidth() (*Result, error) {
 			// Sharding pays a fixed daily manifest (~60 B/shard), so at this
 			// world's small revocation volume the monolithic chain is
 			// cheaper; the sharded win over the untrusted issuers' mass is
-			// gated at seed scale in benchcascade. Here both variants must
-			// beat raw CRLs by an order of magnitude.
+			// gated at seed scale by the cascade bench suite. Here both
+			// variants must beat raw CRLs by an order of magnitude.
 			OK: 10*avgCascade < avgCRL && 10*avgShard < avgCRL,
 		},
 		{

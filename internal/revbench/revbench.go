@@ -1,8 +1,8 @@
 // Package revbench holds the revocation-store benchmark fixture shared
-// by cmd/benchrevdb (which produces and checks BENCH_pr6.json) and the
-// repo-wide benchmarks: a synthetic multi-day CRL world generator whose
-// crawl stream can be replayed identically into any revdb.Store, plus
-// timing and RSS helpers.
+// by `cmd/bench -suite revdb` (which produces and checks BENCH_pr6.json)
+// and the repo-wide benchmarks: a synthetic multi-day CRL world
+// generator whose crawl stream can be replayed identically into any
+// revdb.Store, plus timing and RSS helpers.
 //
 // The generator models the crawl corpus the way the measurement saw it:
 // a fixed URL population where most shards serve yesterday's bytes

@@ -7,9 +7,9 @@ import (
 	"repro/internal/revdb/segdb"
 )
 
-// benchCfg is the cmd/benchrevdb full ingest fixture; keeping the sizes
-// in sync means `go test -bench` profiles the same workload the record
-// gates.
+// benchCfg is the revdb bench suite's full ingest fixture; keeping the
+// sizes in sync means `go test -bench` profiles the same workload the
+// record gates.
 var benchCfg = Config{URLs: 128, Days: 60, ChangeEvery: 8, NewPerChangedURL: 1050, Seed: 1}
 
 func TestTotalEntriesMatchesGenerator(t *testing.T) {

@@ -273,8 +273,8 @@ func Open(dir string, opts *Options) (*Store, error) {
 // loadSnapshotState seeds the in-memory side of the store from the
 // loaded snapshot: URL table, presence lists, and one sequential scan of
 // the entries block for the per-entry lastSeen/present state. The scan
-// is the dominant cost of a cold start and is what cmd/benchrevdb's
-// recovery phase measures.
+// is the dominant cost of a cold start and is what the recovery phase of
+// `cmd/bench -suite revdb` measures.
 func (s *Store) loadSnapshotState() error {
 	v := s.snap
 	lists, err := v.presentLists(v.presentBlockOff())
